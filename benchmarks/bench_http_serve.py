@@ -1,18 +1,19 @@
 """HTTP serving benchmark — wire overhead vs the in-process async path.
 
-Measures the cost of the network hop that PR 4 adds on top of the asyncio
-front end:
+Measures the cost of the network hop the HTTP front end adds on top of the
+asyncio service:
 
 1. **in-process** — ``await service.submit(image)`` sequentially, the
    fastest an external caller could possibly go without a network;
 2. **HTTP sequential** — the same workload through ``SegmentClient`` over a
-   loopback :class:`~repro.serve.http.HttpSegmentationServer` (one
-   keep-alive connection, npy bodies both ways);
+   loopback :class:`~repro.serve.HttpSegmentationServer` (one keep-alive
+   connection, ``.npy`` request bodies, JSON responses — the client's
+   default ``accept="json"``);
 3. **HTTP concurrent** — four client threads sharing the server, the shape
    real multi-tenant ingress has.
 
 Every HTTP answer is asserted bit-identical to the in-process labels — the
-wire format (npy round trip) must not perturb results.  Requests/s and
+wire format (npy request, JSON labels back) must not perturb results.  Requests/s and
 client-observed p50/p99 are reported per path; absolute-speed assertions
 stay out entirely (loopback latency on shared CI is noise), so the benchmark
 guards exactness and liveness in both modes.

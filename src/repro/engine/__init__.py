@@ -16,7 +16,8 @@ This module is also the engine's **public surface toward the serving layer**:
 everything serve-side code needs from the compute core — the engine itself,
 the pipeline result type, label post-processing — is re-exported here, so
 ``repro.serve`` never has to reach into ``repro.core`` internals (a layering
-rule CI enforces with ``tools/check_layering.py``).
+rule CI enforces with reprolint rule RL001,
+``python -m tools.reprolint --rules RL001``).
 """
 
 from ..core.labels import binarize_largest_background

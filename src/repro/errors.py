@@ -102,7 +102,7 @@ class ServeError(ReproError):
 class ServeConnectionError(ServeError):
     """Raised when an HTTP serve client cannot reach (or loses) the server.
 
-    :class:`repro.serve.http_client.SegmentClient` maps every socket-level
+    :class:`repro.serve.SegmentClient` maps every socket-level
     failure — connection refused, reset, timeout, a half-written response —
     to this type, so callers talking to a restarting or draining worker
     fleet handle one library exception instead of the zoo of

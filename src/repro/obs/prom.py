@@ -270,14 +270,25 @@ def render_prometheus(
             "adaptive_adjustments_total",
             "counter",
             "Adaptive controller config changes applied.",
-            [(base, _num(adaptive, "adjustments"))],
+            [
+                ({**base, "kind": kind}, _num(adaptive, f"{kind}_adjustments"))
+                for kind in ("batch", "weight")
+            ],
         )
         out.family(
             "adaptive_batch_size",
             "gauge",
             "Current adaptive max batch size.",
-            [(base, _num(adaptive, "batch_size"))],
+            [(base, _num(adaptive, "max_batch_size"))],
         )
+        floors = adaptive.get("lane_floors")
+        if isinstance(floors, Mapping):
+            out.family(
+                "adaptive_lane_floor",
+                "gauge",
+                "Configured minimum drain weight of this lane.",
+                [({**base, "lane": str(lane)}, _num(floors, lane)) for lane in sorted(floors)],
+            )
 
     delta = metrics.get("delta")
     if isinstance(delta, Mapping):
@@ -291,18 +302,12 @@ def render_prometheus(
             ),
         ):
             out.family(name, "counter", help_text, [(base, _num(delta, key))])
-        out.family(
-            "delta_reuse_ratio",
-            "gauge",
-            "Reused tiles over all delta tiles processed.",
-            [(base, _num(delta, "reuse_ratio"))],
-        )
-        out.family(
-            "delta_streams",
-            "gauge",
-            "Temporal streams with a committed ancestor.",
-            [(base, _num(delta, "streams"))],
-        )
+        for key, name, help_text in (
+            ("reuse_ratio", "delta_reuse_ratio", "Reused tiles over all delta tiles processed."),
+            ("streams", "delta_streams", "Temporal streams with a committed ancestor."),
+            ("max_streams", "delta_max_streams", "Streams tracked before the oldest is dropped."),
+        ):
+            out.family(name, "gauge", help_text, [(base, _num(delta, key))])
 
     trace = metrics.get("trace")
     if isinstance(trace, Mapping):
@@ -312,12 +317,12 @@ def render_prometheus(
             ("sampled_out", "trace_sampled_out_total", "Traces skipped by sampling."),
         ):
             out.family(name, "counter", help_text, [(base, _num(trace, key))])
-        out.family(
-            "trace_retained",
-            "gauge",
-            "Traces currently retained in the ring.",
-            [(base, _num(trace, "retained"))],
-        )
+        for key, name, help_text in (
+            ("retained", "trace_retained", "Traces currently retained in the ring."),
+            ("ring_size", "trace_ring_size", "Capacity of the trace ring."),
+            ("sample_rate", "trace_sample_rate", "Fraction of requests traced."),
+        ):
+            out.family(name, "gauge", help_text, [(base, _num(trace, key))])
 
     http = metrics.get("http")
     if isinstance(http, Mapping):
@@ -357,6 +362,12 @@ def render_prometheus(
             [(base, _num(http, "client_disconnects"))],
         )
         out.family(
+            "http_request_errors_total",
+            "counter",
+            "Requests whose handling raised unexpectedly (answered 500).",
+            [(base, _num(http, "request_errors"))],
+        )
+        out.family(
             "http_draining",
             "gauge",
             "1 while the server is draining.",
@@ -371,19 +382,24 @@ _CACHE_COUNTER_KEYS = (
     ("misses", "cache_misses_total", "Cache misses."),
     ("evictions", "cache_evictions_total", "Entries evicted (LRU)."),
     ("expirations", "cache_expirations_total", "Entries expired (TTL)."),
-    ("puts", "cache_puts_total", "Entries written."),
     ("stores", "cache_puts_total", "Entries written."),
-    ("rejects", "cache_rejects_total", "Writes rejected (oversized / contended)."),
-    ("promotions", "cache_promotions_total", "Entries promoted from a lower tier."),
+    ("store_skips", "cache_rejects_total", "Writes rejected (oversized / contended)."),
     ("hit_bytes", "cache_hit_bytes_total", "Payload bytes returned by cache hits."),
-    ("corrupt_drops", "cache_corrupt_drops_total", "Corrupt entries dropped."),
+    ("corrupt_dropped", "cache_corrupt_drops_total", "Corrupt entries dropped."),
     ("errors", "cache_errors_total", "Cache I/O errors."),
+    ("evicted_bytes", "cache_evicted_bytes_total", "Payload bytes freed by eviction."),
+    ("torn_reads", "cache_torn_reads_total", "Reads that lost a race with a writer (misses)."),
 )
 _CACHE_GAUGE_KEYS = (
     ("currsize", "cache_entries", "Entries currently cached."),
     ("entries", "cache_entries", "Entries currently cached."),
     ("maxsize", "cache_max_entries", "Cache capacity in entries."),
+    ("max_entries", "cache_max_entries", "Cache capacity in entries."),
     ("size_bytes", "cache_size_bytes", "Bytes currently cached."),
+    ("current_bytes", "cache_size_bytes", "Bytes currently cached."),
+    ("max_bytes", "cache_max_bytes", "Cache capacity in bytes."),
+    ("slot_count", "cache_slots", "Slots in the shared-memory ring."),
+    ("slot_bytes", "cache_slot_bytes", "Bytes per shared-memory slot."),
     ("hit_rate", "cache_hit_rate", "Hit rate since start."),
 )
 

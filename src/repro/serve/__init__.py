@@ -46,10 +46,11 @@ for request/response traffic:
   directory or JSONL job lines (with optional per-job priority and
   deadline), emitting a ``repro-serve-report/v1`` summary.
 
-This module is the serving layer's **only stable import surface**: every
-public name is re-exported here (lazily, via PEP 562, so ``import
-repro.serve`` stays cheap) and the ``repro.serve.<submodule>`` deep paths
-are deprecated shims.  The streaming counterpart on the engine itself is
+This module is the serving layer's **only import surface**: every public
+name is re-exported here (lazily, via PEP 562, so ``import repro.serve``
+stays cheap) from ``_``-prefixed implementation modules; the 1.x deep paths
+such as ``repro.serve.fleet`` were removed in 2.0.0.  The streaming
+counterpart on the engine itself is
 :meth:`repro.engine.BatchSegmentationEngine.map_stream`, which flows an
 arbitrarily large dataset through a bounded in-flight window.
 

@@ -1,9 +1,9 @@
 """Asyncio-native serving front end: priority lanes, deadlines, quotas.
 
 :class:`AsyncSegmentationService` is the ingress tier the ROADMAP's
-"heavy multi-user traffic" north star asks for.  It keeps the exact
-engine/caching machinery of the threaded
-:class:`~repro.serve.service.SegmentationService` but replaces the blocking
+"heavy multi-user traffic" north star asks for.  Its micro-batches run
+through the same batch pipeline (:func:`process_batch`) as the threaded
+:class:`~repro.serve.SegmentationService`, but it replaces the blocking
 ``submit -> Future`` surface with a coroutine and replaces the single FIFO
 queue with a *multi-lane* ingress that knows about request urgency:
 
@@ -24,8 +24,8 @@ queue with a *multi-lane* ingress that knows about request urgency:
   tenant into :class:`~repro.errors.QuotaExceededError` for that tenant
   instead of latency for everyone.
 * **tiered caching** — any ``get``/``put`` cache works, including the
-  :class:`~repro.serve.cache.TieredResultCache` of an in-memory L1 over a
-  persistent :class:`~repro.serve.diskcache.DiskResultCache` L2, so a
+  :class:`~repro.serve.TieredResultCache` of an in-memory L1 over a
+  persistent :class:`~repro.serve.DiskResultCache` L2, so a
   restarted service answers its warm set from disk, bit-identical to cold
   results.
 * **graceful async shutdown** — :meth:`aclose` drains admitted work (or
@@ -68,8 +68,14 @@ from ..metrics.runtime import LatencyRecorder
 from ..obs.log import get_logger
 from ..obs.trace import Trace, Tracer
 from ._batcher import AdaptiveConfig, AdaptiveController
-from ._cache import CacheKey, ResultCache, TileCacheAdapter, config_digest, image_digest
-from ._service import _engine_fingerprint, _segment_image
+from ._cache import (
+    CacheKey,
+    ResultCache,
+    TileCacheAdapter,
+    config_digest,
+    engine_fingerprint,
+    image_digest,
+)
 
 __all__ = ["Priority", "TokenBucket", "AsyncSegmentationService", "DEFAULT_LANE_WEIGHTS"]
 
@@ -205,14 +211,175 @@ def _score_request(
     cache_hit: bool,
     coalesced: bool,
 ) -> PipelineResult:
-    """The per-request evaluation protocol (identical to the sync service)."""
+    """The per-request evaluation protocol (both front ends)."""
     tagged = dataclasses.replace(
         segmentation,
         extras={**segmentation.extras, "cache_hit": cache_hit, "coalesced": coalesced},
     )
     if ground_truth is None and binary is not None:
+        # No annotation to score against: the pre-computed binarization is
+        # the entire evaluation protocol.
         return PipelineResult(segmentation=tagged, binary=binary, metrics={})
     return engine.pipeline.score(tagged, ground_truth, void_mask)
+
+
+def _segment_image(engine: BatchSegmentationEngine, image: np.ndarray):
+    # Module-level so batches stay picklable for process executors; exceptions
+    # are returned, not raised, to keep per-image isolation inside a batch.
+    try:
+        return engine.segment(image)
+    except Exception as exc:  # reprolint: disable=RL004 returned and set on the request future
+        return exc
+
+
+def _cache_get(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
+    """Cache probe recording a ``cache.probe`` span (tier spans nested).
+
+    Runs on an executor/worker thread; a trace-aware cache (the tiered
+    cache) additionally records one span per tier probed with
+    hit-or-miss and payload bytes.
+    """
+    if cache is None:
+        return None
+    if trace is None:
+        return cache.get(key)
+    start = trace.clock()
+    if getattr(cache, "supports_trace", False):
+        value = cache.get(key, trace=trace)
+    else:
+        value = cache.get(key)
+    trace.add("cache.probe", start, trace.clock(), hit=value is not None)
+    return value
+
+
+#: One settled request of a batch: ``(request, result-or-exception,
+#: cache_hit, coalesced)``.
+Outcome = Tuple[Any, Any, bool, bool]
+
+
+def _score_group(
+    engine: BatchSegmentationEngine,
+    requests: List[Any],
+    segmentation: SegmentationResult,
+    binary: np.ndarray,
+    cache_hit: bool,
+) -> List[Outcome]:
+    """Score every request sharing one segmentation; errors stay per request."""
+    outcomes: List[Outcome] = []
+    for position, request in enumerate(requests):
+        coalesced = not cache_hit and position > 0
+        trace = request.trace
+        if trace is not None:
+            trace.annotate(cache_hit=cache_hit, coalesced=coalesced)
+            score_start = trace.clock()
+        try:
+            result = _score_request(
+                engine,
+                request.ground_truth,
+                request.void_mask,
+                segmentation,
+                binary,
+                cache_hit,
+                coalesced,
+            )
+        except Exception as exc:  # reprolint: disable=RL004 returned as the request's outcome
+            outcomes.append((request, exc, cache_hit, coalesced))
+            continue
+        if trace is not None:
+            trace.add("scoring", score_start, trace.clock())
+        outcomes.append((request, result, cache_hit, coalesced))
+    return outcomes
+
+
+def process_batch(
+    engine: BatchSegmentationEngine,
+    cache: Any,
+    delta: Optional[DeltaStreamEngine],
+    batch: List[Any],
+    clock: Callable[[], float],
+) -> List[Outcome]:
+    """The batch pipeline: coalesce → re-check cache → compute → binarize → store → score.
+
+    Both front ends run their micro-batches through this one function (the
+    async service on an executor thread, the sync service on its worker
+    thread).  ``batch`` holds request objects carrying ``image``, ``key``,
+    ``trace``, ``ground_truth`` and ``void_mask`` (plus ``stream_id`` when
+    ``delta`` is given).  Returns one :data:`Outcome` per request; the
+    caller resolves its own futures and counters.
+    """
+    # Coalesce identical images: one evaluation per distinct content key.
+    groups: Dict[CacheKey, List[Any]] = {}
+    for request in batch:
+        groups.setdefault(request.key, []).append(request)
+
+    outcomes: List[Outcome] = []
+    streamed: List[CacheKey] = []
+    scattered: List[CacheKey] = []
+    for key, requests in groups.items():
+        # Re-check the cache: a request that missed at admission may have
+        # been computed by an earlier batch while it sat in the queue.
+        cached = _cache_get(cache, key, requests[0].trace)
+        if cached is not None:
+            outcomes += _score_group(engine, requests, *cached, cache_hit=True)
+        elif delta is not None and requests[0].stream_id is not None:
+            streamed.append(key)
+        else:
+            scattered.append(key)
+
+    # (key, segmentation-or-exception, compute window, groups scattered)
+    computed: List[Tuple[CacheKey, Any, float, float, Optional[int]]] = []
+    # Stream frames run the dirty-tile path sequentially: frame N+1 of a
+    # stream diffs against frame N's committed ancestor, so scattering
+    # frames of one stream across the executor would race the ancestor.
+    for key in streamed:
+        head = groups[key][0]
+        start = clock()
+        try:
+            outcome: Any = delta.segment(head.image, head.stream_id)
+        except Exception as exc:  # reprolint: disable=RL004 delivered on the request futures
+            outcome = exc
+        computed.append((key, outcome, start, clock(), None))
+    if scattered:
+        start = clock()
+        results = engine.executor.map(
+            functools.partial(_segment_image, engine),
+            [groups[key][0].image for key in scattered],
+        )
+        end = clock()
+        computed += [
+            (key, outcome, start, end, len(scattered)) for key, outcome in zip(scattered, results)
+        ]
+
+    for key, outcome, start, end, batch_groups in computed:
+        requests = groups[key]
+        if isinstance(outcome, Exception):
+            outcomes += [(request, outcome, False, False) for request in requests]
+            continue
+        fields: Dict[str, Any] = {
+            "strategy": str(outcome.extras.get("fast_path", "direct")),
+            "runtime_seconds": float(outcome.runtime_seconds),
+        }
+        if batch_groups is None:
+            delta_stats = outcome.extras.get("delta") or {}
+            fields["tiles_reused"] = int(delta_stats.get("tiles_reused", 0))
+            fields["tiles_recomputed"] = int(delta_stats.get("tiles_recomputed", 0))
+        else:
+            # The span covers the whole scatter window (groups run
+            # concurrently on the engine executor); per-image strategy and
+            # runtime ride along as fields.
+            fields["prepare_seconds"] = float(outcome.extras.get("prepare_seconds", 0.0))
+            fields["batch_groups"] = batch_groups
+        for request in requests:
+            if request.trace is not None:
+                request.trace.add("engine.compute", start, end, **fields)
+        # The annotation-free binarization is a pure function of the labels:
+        # computed once per distinct image and cached with it, so cache hits
+        # for unannotated requests skip scoring entirely.
+        binary = binarize_largest_background(outcome.labels)
+        if cache is not None:
+            cache.put(key, (outcome, binary))
+        outcomes += _score_group(engine, requests, outcome, binary, cache_hit=False)
+    return outcomes
 
 
 class _LaneState:
@@ -258,8 +425,8 @@ class AsyncSegmentationService:
     cache:
         ``"default"`` (a 256-entry in-memory LRU), ``None``, or any object
         with ``get(key) -> value|None`` and ``put(key, value)`` — e.g. a
-        :class:`~repro.serve.cache.TieredResultCache` over a
-        :class:`~repro.serve.diskcache.DiskResultCache`.
+        :class:`~repro.serve.TieredResultCache` over a
+        :class:`~repro.serve.DiskResultCache`.
     lane_weights:
         Batch slots per weighted-drain cycle for each lane (default 4:2:1).
     client_rate, client_burst:
@@ -273,7 +440,7 @@ class AsyncSegmentationService:
         ``adaptive_config.tick_seconds`` the service re-derives its
         micro-batch flush size and lane drain weights from the EWMA service
         time and per-lane depth/shed telemetry
-        (:class:`~repro.serve.batcher.AdaptiveController`).  The configured
+        (:class:`~repro.serve.AdaptiveController`).  The configured
         ``lane_weights`` become the per-lane floors and ``max_batch_size``
         the default batch-size ceiling — adaptation shrinks and regrows
         batches inside ``[1, max_batch_size]``, never past the configured
@@ -281,7 +448,7 @@ class AsyncSegmentationService:
         ``metrics()["adaptive"]``.
     adaptive_config:
         Overrides the control-loop corridor and cadence
-        (:class:`~repro.serve.batcher.AdaptiveConfig`); when given, its
+        (:class:`~repro.serve.AdaptiveConfig`); when given, its
         ``max_batch_size`` replaces the default configured-value ceiling.
     clock:
         Monotonic time source, injectable for deterministic tests.
@@ -376,7 +543,7 @@ class AsyncSegmentationService:
         self.client_rate = client_rate
         self.client_burst = float(client_burst) if client_burst is not None else None
         self._clock = clock
-        self._config_digest = config_digest(_engine_fingerprint(engine))
+        self._config_digest = config_digest(engine_fingerprint(engine))
         self._lanes: Dict[Priority, _LaneState] = {lane: _LaneState() for lane in Priority}
         self._buckets: Dict[Any, TokenBucket] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -397,7 +564,6 @@ class AsyncSegmentationService:
         self._ewma_request_seconds = 0.0
         self._latency = LatencyRecorder()
         self.tracer = tracer if tracer is not None else Tracer(clock=clock)
-        self._cache_traced = bool(getattr(cache, "supports_trace", False))
         # Dirty-tile incremental path for stream requests.  Built even for
         # non-pointwise segmenters (it degrades to the full path itself);
         # the per-tile cache hook rides the service cache so every tier —
@@ -667,7 +833,7 @@ class AsyncSegmentationService:
         try:
             if self.cache is not None:
                 cached = await loop.run_in_executor(
-                    None, functools.partial(self._cache_get, key, trace)
+                    None, functools.partial(_cache_get, self.cache, key, trace)
                 )
                 if cached is not None:
                     segmentation, binary = cached
@@ -783,25 +949,6 @@ class AsyncSegmentationService:
                     raise outcome
         return results
 
-    def _cache_get(self, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
-        """Cache probe recording a ``cache.probe`` span (tier spans nested).
-
-        Runs on an executor/worker thread; a trace-aware cache (the tiered
-        cache) additionally records one span per tier probed with
-        hit-or-miss and payload bytes.
-        """
-        if self.cache is None:
-            return None
-        if trace is None:
-            return self.cache.get(key)
-        start = trace.clock()
-        if self._cache_traced:
-            value = self.cache.get(key, trace=trace)
-        else:
-            value = self.cache.get(key)
-        trace.add("cache.probe", start, trace.clock(), hit=value is not None)
-        return value
-
     # ------------------------------------------------------------------ #
     # worker
     # ------------------------------------------------------------------ #
@@ -874,7 +1021,10 @@ class AsyncSegmentationService:
                     )
             try:
                 outcomes = await self._loop.run_in_executor(
-                    None, functools.partial(self._process_batch, batch)
+                    None,
+                    functools.partial(
+                        process_batch, self.engine, self.cache, self._delta, batch, self._clock
+                    ),
                 )
             except Exception as exc:  # noqa: BLE001 - never kill the worker silently
                 for request in batch:
@@ -932,129 +1082,9 @@ class AsyncSegmentationService:
             self._space.set()  # lane slots freed: wake blocked submitters
         return batch
 
-    def _process_batch(
-        self, batch: List[_AsyncRequest]
-    ) -> List[Tuple[_AsyncRequest, Any, bool, bool, Optional[np.ndarray]]]:
-        """Compute a batch on a worker thread; returns per-request outcomes.
-
-        Outcome tuples are ``(request, result-or-exception, cache_hit,
-        coalesced, binary)``; futures are resolved back on the event loop.
-        """
-        groups: Dict[CacheKey, List[_AsyncRequest]] = {}
-        order: List[CacheKey] = []
-        for request in batch:
-            if request.key not in groups:
-                groups[request.key] = []
-                order.append(request.key)
-            groups[request.key].append(request)
-
-        outcomes: List[Tuple[_AsyncRequest, Any, bool, bool, Optional[np.ndarray]]] = []
-
-        def _emit(requests, segmentation, cache_hit, binary):
-            for position, request in enumerate(requests):
-                coalesced = not cache_hit and position > 0
-                trace = request.trace
-                if trace is not None:
-                    trace.annotate(cache_hit=cache_hit, coalesced=coalesced)
-                    score_start = trace.clock()
-                try:
-                    result = _score_request(
-                        self.engine,
-                        request.ground_truth,
-                        request.void_mask,
-                        segmentation,
-                        binary,
-                        cache_hit,
-                        coalesced,
-                    )
-                except Exception as exc:  # reprolint: disable=RL004 set on the request future below
-                    outcomes.append((request, exc, cache_hit, coalesced, binary))
-                    continue
-                if trace is not None:
-                    trace.add("scoring", score_start, trace.clock())
-                outcomes.append((request, result, cache_hit, coalesced, binary))
-
-        remaining: List[CacheKey] = []
-        delta_keys: List[CacheKey] = []
-        for group_key in order:
-            cached = self._cache_get(group_key, groups[group_key][0].trace)
-            if cached is not None:
-                segmentation, binary = cached
-                _emit(groups[group_key], segmentation, True, binary)
-            elif self._delta is not None and groups[group_key][0].stream_id is not None:
-                delta_keys.append(group_key)
-            else:
-                remaining.append(group_key)
-
-        # Stream frames run the dirty-tile path sequentially: frame N+1 of a
-        # stream diffs against frame N's committed ancestor, so scattering
-        # frames of one stream across the executor would race the ancestor.
-        for group_key in delta_keys:
-            representative = groups[group_key][0]
-            compute_start = self._clock()
-            try:
-                outcome: Any = self._delta.segment(representative.image, representative.stream_id)
-            except Exception as exc:  # reprolint: disable=RL004 delivered on the request futures below
-                outcome = exc
-            compute_end = self._clock()
-            requests = groups[group_key]
-            if isinstance(outcome, Exception):
-                for request in requests:
-                    outcomes.append((request, outcome, False, False, None))
-                continue
-            delta_stats = outcome.extras.get("delta") or {}
-            for request in requests:
-                if request.trace is not None:
-                    request.trace.add(
-                        "engine.compute",
-                        compute_start,
-                        compute_end,
-                        strategy=str(outcome.extras.get("fast_path", "direct")),
-                        runtime_seconds=float(outcome.runtime_seconds),
-                        tiles_reused=int(delta_stats.get("tiles_reused", 0)),
-                        tiles_recomputed=int(delta_stats.get("tiles_recomputed", 0)),
-                    )
-            binary = binarize_largest_background(outcome.labels)
-            if self.cache is not None:
-                self.cache.put(group_key, (outcome, binary))
-            _emit(requests, outcome, False, binary)
-
-        if remaining:
-            representatives = [groups[group_key][0].image for group_key in remaining]
-            compute_start = self._clock()
-            results = self.engine.executor.map(
-                functools.partial(_segment_image, self.engine), representatives
-            )
-            compute_end = self._clock()
-            for group_key, outcome in zip(remaining, results):
-                requests = groups[group_key]
-                if isinstance(outcome, Exception):
-                    for request in requests:
-                        outcomes.append((request, outcome, False, False, None))
-                    continue
-                for request in requests:
-                    if request.trace is not None:
-                        # The compute span covers the batch scatter window
-                        # (groups run concurrently on the engine executor);
-                        # per-image strategy/runtime ride along as fields.
-                        request.trace.add(
-                            "engine.compute",
-                            compute_start,
-                            compute_end,
-                            strategy=str(outcome.extras.get("fast_path", "direct")),
-                            runtime_seconds=float(outcome.runtime_seconds),
-                            prepare_seconds=float(outcome.extras.get("prepare_seconds", 0.0)),
-                            batch_groups=len(remaining),
-                        )
-                binary = binarize_largest_background(outcome.labels)
-                if self.cache is not None:
-                    self.cache.put(group_key, (outcome, binary))
-                _emit(requests, outcome, False, binary)
-        return outcomes
-
-    def _resolve_outcomes(self, outcomes) -> None:
+    def _resolve_outcomes(self, outcomes: List[Outcome]) -> None:
         now = self._clock()
-        for request, result, cache_hit, coalesced, _ in outcomes:
+        for request, result, cache_hit, coalesced in outcomes:
             if request.future.done():
                 continue  # cancelled while computing; nothing to deliver
             if isinstance(result, BaseException):
@@ -1136,16 +1166,22 @@ class AsyncSegmentationService:
             stats = getattr(self.cache, "stats", None)
             if stats is not None:
                 cache_stats = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
+        expired = sum(state.shed_expired for state in self._lanes.values())
         return {
             "requests": self._requests,
             "completed": self._completed,
             "failed": self._failed,
             "cancelled": self._cancelled,
             "coalesced": self._coalesced,
+            # Admitted but not yet settled: admission sheds never count as
+            # requests, queued expiries do.
+            "in_flight": (
+                self._requests - self._completed - self._failed - self._cancelled - expired
+            ),
             "quota_rejections": self._quota_rejections,
             "shed": {
                 "admission": sum(state.shed_admission for state in self._lanes.values()),
-                "expired": sum(state.shed_expired for state in self._lanes.values()),
+                "expired": expired,
             },
             "queue_depth": self._queue_depth(),
             "lanes": lanes,

@@ -12,7 +12,7 @@ growing memory without limit).  A single consumer repeatedly calls
   (*deadline flush* — bounded latency under light traffic), or
 * the batcher is closed and the queue has drained (*close flush*).
 
-The batcher is payload-agnostic; :class:`repro.serve.service.SegmentationService`
+The batcher is payload-agnostic; :class:`repro.serve.SegmentationService`
 feeds it request records, but tests drive it with plain integers.
 
 This module also hosts the **adaptive control loop** used by the async front

@@ -23,7 +23,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "TileCacheAdapter",
     "image_digest",
     "config_digest",
+    "engine_fingerprint",
     "tile_key",
     "value_nbytes",
     "TILE_KEY_PREFIX",
@@ -69,6 +70,74 @@ def config_digest(config: Mapping[str, Any]) -> str:
     """A digest of a JSON-friendly configuration mapping (order-insensitive)."""
     payload = json.dumps(dict(config), sort_keys=True, default=str)
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _fingerprint_value(value: Any, depth: int = 0) -> Any:
+    """Reduce arbitrary segmenter state to a stable, JSON-friendly form.
+
+    Primitives pass through; sequences recurse; objects with a ``__dict__``
+    (parameter holders like ``NoiseModel``) are expanded one-and-a-half
+    levels deep so that their numeric fields enter the digest.  Anything
+    deeper or opaque (classifier matrices, random generators) collapses to
+    its type name — such state either doesn't affect labels or (generators)
+    makes the output uncacheable anyway.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_fingerprint_value(item, depth + 1) for item in value]
+    if depth < 2:
+        try:
+            state = vars(value)
+        except TypeError:
+            state = None
+        if state is not None:
+            expanded: Dict[str, Any] = {"__class__": type(value).__qualname__}
+            for attr, item in sorted(state.items()):
+                expanded[attr] = _fingerprint_value(item, depth + 1)
+            return expanded
+    return f"<{type(value).__qualname__}>"
+
+
+def engine_fingerprint(engine: Any) -> Dict[str, Any]:
+    """Everything that can change the labels a batch engine produces.
+
+    ``engine.describe()`` is display-oriented and only names the segmenter,
+    so two engines wrapping differently-parameterized segmenters (different
+    θ, normalization, noise models, ...) would collide.  The fingerprint
+    therefore also walks the segmenter's own attributes via
+    :func:`_fingerprint_value` — for the library's segmenters that covers
+    thetas/theta, normalize, max_value, multiband, shot counts and the
+    fields of an attached noise model.  :func:`config_digest` of it is the
+    second half of every cache key.
+
+    Backend identity enters the digest **only when it can change results**
+    (``engine.backend_invariant`` is False).  Integer fast paths are bit-exact
+    on every backend and the float kernel stays on the exact reference unless
+    explicitly routed elsewhere, so for invariant engines the backend is
+    scrubbed: warm cache tiers survive a backend switch, and a mixed-backend
+    fleet shares one cache without ever serving divergent labels.
+    """
+    fingerprint = dict(engine.describe())
+    fingerprint.pop("backend", None)
+    fingerprint.pop("float_compute", None)
+    invariant = bool(getattr(engine, "backend_invariant", True))
+    if not invariant:
+        fingerprint["float_backend"] = engine.backend.name
+    segmenter = engine.segmenter
+    fingerprint["segmenter_class"] = type(segmenter).__qualname__
+    params = {
+        attr: _fingerprint_value(value, depth=1)
+        for attr, value in sorted(vars(segmenter).items())
+    }
+    if invariant:
+        # The classifier's wired backend shows up in the attribute walk as a
+        # type name; results are backend-independent here, so drop it.
+        for value in params.values():
+            if isinstance(value, dict) and "_backend" in value:
+                value["_backend"] = None
+    fingerprint["segmenter_params"] = params
+    return fingerprint
 
 
 def tile_key(tile_digest: str, config: str) -> CacheKey:
@@ -354,14 +423,14 @@ class TieredResultCache:
     becomes visible to every process sharing the L2 directory.
 
     An optional **shm** middle tier (the L1.5 of a same-host fleet, a
-    :class:`~repro.serve.shmcache.SharedMemoryResultCache`) slots between
+    :class:`~repro.serve.SharedMemoryResultCache`) slots between
     them: probed after an L1 miss, promoted into on an L2 hit, and written
     through on every put — so one worker's computation becomes another
     worker's single-memcpy hit without touching the disk.
 
     The tiers stay plain ``get``/``put`` objects — an L1
     :class:`ResultCache` and an L2
-    :class:`~repro.serve.diskcache.DiskResultCache` in production, anything
+    :class:`~repro.serve.DiskResultCache` in production, anything
     duck-compatible in tests.
     """
 

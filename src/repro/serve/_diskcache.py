@@ -1,6 +1,6 @@
 """Persistent content-addressed result cache: the on-disk L2 tier.
 
-The in-memory :class:`~repro.serve.cache.ResultCache` dies with its process,
+The in-memory :class:`~repro.serve.ResultCache` dies with its process,
 which wastes the one property that makes segmentation results cacheable at
 all — they are pure functions of ``(image bytes, engine config)``.
 :class:`DiskResultCache` keeps the same content-addressed keys
@@ -236,7 +236,7 @@ class DiskResultCache:
         on lookup and counted as expirations.  ``None`` disables expiry.
 
     Values are ``(SegmentationResult, binary)`` pairs exactly as the
-    in-memory :class:`~repro.serve.cache.ResultCache` stores them, so the two
+    in-memory :class:`~repro.serve.ResultCache` stores them, so the two
     tiers are interchangeable behind the same ``get``/``put`` protocol.
     """
 

@@ -1,11 +1,11 @@
 """Multi-process HTTP serving: a supervised SO_REUSEPORT worker fleet.
 
-One :class:`~repro.serve.http.HttpSegmentationServer` process tops out at
+One :class:`~repro.serve.HttpSegmentationServer` process tops out at
 roughly one core of segmentation compute — the asyncio loop scales
 connections, not CPU.  :class:`ServeFleet` is the scale-out layer the
 ROADMAP's "millions of users" north star calls for: a supervisor that runs
 **N worker processes behind one HOST:PORT**, all sharing one persistent
-:class:`~repro.serve.diskcache.DiskResultCache` directory as their L2 tier
+:class:`~repro.serve.DiskResultCache` directory as their L2 tier
 (that cache was built multi-process-safe — atomic publishes, lock-file
 sweeps — precisely for this).
 
@@ -486,7 +486,7 @@ def _merge_cache(stats: List[Optional[Dict[str, Any]]]) -> Optional[Dict[str, An
 def merge_worker_metrics(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fleet-wide view from per-worker ``service.metrics()`` snapshots.
 
-    Counters sum; queue depth sums; throughput sums (the workers run
+    Counters, queue depth and in-flight sum; throughput sums (the workers run
     concurrently); uptime takes the max; latency percentiles are recomputed
     from the merged histogram sketches rather than averaged.  Cache stats
     merge per tier, with shared-L2 footprint gauges taking the max across
@@ -509,6 +509,7 @@ def merge_worker_metrics(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
         "failed",
         "cancelled",
         "coalesced",
+        "in_flight",
         "quota_rejections",
         "queue_depth",
         "batches",

@@ -115,6 +115,7 @@ _STATUS_PHRASES = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -201,10 +202,11 @@ class HttpSegmentationServer:
     sock:
         An already *bound* listening socket to serve on instead of binding
         ``host:port``.  This is how the multi-process fleet
-        (:mod:`repro.serve.fleet`) runs several servers behind one address:
-        each worker hands in its own ``SO_REUSEPORT`` socket (kernel load
-        balancing), or a shared inherited listener where ``SO_REUSEPORT``
-        is unavailable.  ``host``/``port`` are read back from the socket.
+        (:class:`~repro.serve.ServeFleet`) runs several servers behind one
+        address: each worker hands in its own ``SO_REUSEPORT`` socket (kernel
+        load balancing), or a shared inherited listener where
+        ``SO_REUSEPORT`` is unavailable.  ``host``/``port`` are read back
+        from the socket.
     max_body_bytes:
         Bodies larger than this are refused with 413 before being read.
     drain_grace_seconds:
@@ -452,7 +454,16 @@ class HttpSegmentationServer:
             name, sep, value = line.partition(":")
             if not sep:
                 raise _HttpError(400, f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # RFC 9112 §6.3: conflicting framing is unrecoverable.
+                raise _HttpError(400, "repeated Content-Length")
+            headers[name] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is implemented; reading a chunked
+            # body by its Content-Length would parse the rest of it as the
+            # next request (request smuggling), so refuse and close.
+            raise _HttpError(501, "Transfer-Encoding is not supported")
         path, _, query = target.partition("?")
         length_text = headers.get("content-length")
         if length_text is None and method in ("POST", "PUT"):
@@ -461,12 +472,10 @@ class HttpSegmentationServer:
         if length_text is not None:
             # Any method may carry a body; it must be consumed (or refused
             # with the connection closed) or keep-alive framing desyncs.
-            try:
-                length = int(length_text)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                raise _HttpError(400, f"invalid Content-Length {length_text!r}") from None
+            # 1*DIGIT only: int() would also take a sign or "1_0".
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise _HttpError(400, f"invalid Content-Length {length_text!r}")
+            length = int(length_text)
             if length > self.max_body_bytes:
                 # Refuse before reading: the body is still on the wire, so
                 # the framing is unrecoverable and the connection closes.

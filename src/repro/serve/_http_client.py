@@ -1,7 +1,7 @@
 """Small blocking client for the HTTP serving front end.
 
 :class:`SegmentClient` is the reference consumer of
-:class:`~repro.serve.http.HttpSegmentationServer` — tests, benchmarks and
+:class:`~repro.serve.HttpSegmentationServer` — tests, benchmarks and
 examples drive the server through it rather than hand-rolling request
 bytes.  It is deliberately stdlib-only (``http.client``) and *blocking*:
 the interesting concurrency lives server-side, and a plain synchronous

@@ -9,15 +9,16 @@
   :class:`~repro.errors.ServiceOverloadedError` — memory stays flat under
   overload instead of OOMing.
 * **cache** — before a request is queued, a content-addressed
-  :class:`~repro.serve.cache.ResultCache` lookup (image digest + engine config
+  :class:`~repro.serve.ResultCache` lookup (image digest + engine config
   digest) answers repeats instantly.  The cache stores the raw per-image
   :class:`~repro.base.SegmentationResult`; scoring against the request's own
   ground truth happens per request, so one cached segmentation serves
   differently-annotated copies of the same image.
 * **micro-batching** — a worker thread coalesces queued requests through a
-  :class:`~repro.serve.batcher.MicroBatcher` (flush on batch size or
-  deadline), dedupes identical images *within* the batch, and scatters the
-  distinct ones over the engine's executor.
+  :class:`~repro.serve.MicroBatcher` (flush on batch size or
+  deadline) and hands each batch to the batch pipeline shared with the
+  async front end, which dedupes identical images *within* the batch and
+  scatters the distinct ones over the engine's executor.
 * **metrics** — throughput, latency percentiles
   (:class:`repro.metrics.runtime.LatencyRecorder`), cache hit rate, queue
   depth and batch-shape statistics via :meth:`SegmentationService.metrics`.
@@ -28,8 +29,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import threading
 import time
 import queue as queue_module
@@ -38,95 +37,15 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..base import SegmentationResult
-from ..engine import (
-    BatchSegmentationEngine,
-    PipelineResult,
-    binarize_largest_background,
-)
+from ..engine import BatchSegmentationEngine, PipelineResult
 from ..errors import ParameterError, ServiceClosedError, ServiceOverloadedError
 from ..metrics.runtime import LatencyRecorder
-from ..obs.trace import Trace, Tracer
+from ..obs.trace import Tracer
+from ._aio import Outcome, _cache_get, _score_group, process_batch
 from ._batcher import MicroBatcher
-from ._cache import CacheKey, ResultCache, config_digest, image_digest
+from ._cache import CacheKey, ResultCache, config_digest, engine_fingerprint, image_digest
 
 __all__ = ["SegmentationService"]
-
-
-def _fingerprint_value(value: Any, depth: int = 0) -> Any:
-    """Reduce arbitrary segmenter state to a stable, JSON-friendly form.
-
-    Primitives pass through; sequences recurse; objects with a ``__dict__``
-    (parameter holders like ``NoiseModel``) are expanded one-and-a-half
-    levels deep so that their numeric fields enter the digest.  Anything
-    deeper or opaque (classifier matrices, random generators) collapses to
-    its type name — such state either doesn't affect labels or (generators)
-    makes the output uncacheable anyway.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_fingerprint_value(item, depth + 1) for item in value]
-    if depth < 2:
-        try:
-            state = vars(value)
-        except TypeError:
-            state = None
-        if state is not None:
-            expanded: Dict[str, Any] = {"__class__": type(value).__qualname__}
-            for attr, item in sorted(state.items()):
-                expanded[attr] = _fingerprint_value(item, depth + 1)
-            return expanded
-    return f"<{type(value).__qualname__}>"
-
-
-def _engine_fingerprint(engine: BatchSegmentationEngine) -> Dict[str, Any]:
-    """Everything that can change the labels an engine produces.
-
-    ``engine.describe()`` is display-oriented and only names the segmenter,
-    so two engines wrapping differently-parameterized segmenters (different
-    θ, normalization, noise models, ...) would collide.  The fingerprint
-    therefore also walks the segmenter's own attributes via
-    :func:`_fingerprint_value` — for the library's segmenters that covers
-    thetas/theta, normalize, max_value, multiband, shot counts and the
-    fields of an attached noise model.
-
-    Backend identity enters the digest **only when it can change results**
-    (``engine.backend_invariant`` is False).  Integer fast paths are bit-exact
-    on every backend and the float kernel stays on the exact reference unless
-    explicitly routed elsewhere, so for invariant engines the backend is
-    scrubbed: warm cache tiers survive a backend switch, and a mixed-backend
-    fleet shares one cache without ever serving divergent labels.
-    """
-    fingerprint = dict(engine.describe())
-    fingerprint.pop("backend", None)
-    fingerprint.pop("float_compute", None)
-    invariant = bool(getattr(engine, "backend_invariant", True))
-    if not invariant:
-        fingerprint["float_backend"] = engine.backend.name
-    segmenter = engine.segmenter
-    fingerprint["segmenter_class"] = type(segmenter).__qualname__
-    params = {
-        attr: _fingerprint_value(value, depth=1)
-        for attr, value in sorted(vars(segmenter).items())
-    }
-    if invariant:
-        # The classifier's wired backend shows up in the attribute walk as a
-        # type name; results are backend-independent here, so drop it.
-        for value in params.values():
-            if isinstance(value, dict) and "_backend" in value:
-                value["_backend"] = None
-    fingerprint["segmenter_params"] = params
-    return fingerprint
-
-
-def _segment_image(engine: BatchSegmentationEngine, image: np.ndarray):
-    # Module-level so batches stay picklable for process executors; exceptions
-    # are returned, not raised, to keep per-image isolation inside a batch.
-    try:
-        return engine.segment(image)
-    except Exception as exc:  # reprolint: disable=RL004 returned and set on the request future
-        return exc
 
 
 class _Request:
@@ -153,14 +72,14 @@ class SegmentationService:
         The :class:`~repro.engine.BatchSegmentationEngine` that does the
         actual work (its executor is reused to scatter each micro-batch).
     max_batch_size, max_wait_seconds, queue_size:
-        Micro-batcher knobs — see :class:`~repro.serve.batcher.MicroBatcher`.
+        Micro-batcher knobs — see :class:`~repro.serve.MicroBatcher`.
     cache:
         ``None`` to disable caching, the string ``"default"`` for a
         256-entry in-memory LRU, or any object with ``get(key) ->
         value|None`` and ``put(key, value)`` — a
-        :class:`~repro.serve.cache.ResultCache`, a
-        :class:`~repro.serve.diskcache.DiskResultCache`, or the two stacked
-        as a :class:`~repro.serve.cache.TieredResultCache` (memory L1 over a
+        :class:`~repro.serve.ResultCache`, a
+        :class:`~repro.serve.DiskResultCache`, or the two stacked
+        as a :class:`~repro.serve.TieredResultCache` (memory L1 over a
         persistent disk L2 shared across processes).
     clock:
         Monotonic time source used for every latency/uptime measurement,
@@ -194,7 +113,7 @@ class SegmentationService:
             raise ParameterError('cache must provide get/put, be None, or "default"')
         self.cache = cache
         self._clock = clock
-        self._config_digest = config_digest(_engine_fingerprint(engine))
+        self._config_digest = config_digest(engine_fingerprint(engine))
         self._batcher = MicroBatcher(
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
@@ -211,7 +130,6 @@ class SegmentationService:
         self._cancelled = 0
         self._coalesced = 0
         self.tracer = tracer if tracer is not None else Tracer(clock=clock)
-        self._cache_traced = bool(getattr(cache, "supports_trace", False))
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -312,12 +230,10 @@ class SegmentationService:
         if self._worker is None:
             self.start()
 
-        if self.cache is not None:
-            cached = self._cache_get(key, trace)
-            if cached is not None:
-                segmentation, binary = cached
-                self._resolve(request, segmentation, cache_hit=True, binary=binary)
-                return request.future
+        cached = _cache_get(self.cache, key, trace)
+        if cached is not None:
+            self._settle(_score_group(self.engine, [request], *cached, cache_hit=True))
+            return request.future
         # Snapshot the arrays before queueing: the digest above described the
         # buffer *now*, and the caller is free to overwrite it once submit
         # returns.  (Cache hits never queue, so they skip the copy.)
@@ -352,20 +268,6 @@ class SegmentationService:
             self.submit(image, gt, void) for image, gt, void in zip(images, gts, voids)
         ]
         return [future.result() for future in futures]
-
-    def _cache_get(self, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
-        """Cache probe recording a ``cache.probe`` span (tier spans nested)."""
-        if self.cache is None:
-            return None
-        if trace is None:
-            return self.cache.get(key)
-        start = trace.clock()
-        if self._cache_traced:
-            value = self.cache.get(key, trace=trace)
-        else:
-            value = self.cache.get(key)
-        trace.add("cache.probe", start, trace.clock(), hit=value is not None)
-        return value
 
     # ------------------------------------------------------------------ #
     # worker
@@ -403,123 +305,27 @@ class SegmentationService:
         for request in live:
             if request.trace is not None:
                 request.trace.add("queue.wait", request.submitted_at, drained_at)
-        # Coalesce identical images within the batch: one engine evaluation
-        # per distinct content digest (independent of whether the cache is
-        # enabled — the digest is always computed at submit time).
-        groups: Dict[CacheKey, List[_Request]] = {}
-        order: List[CacheKey] = []
-        for request in live:
-            if request.key not in groups:
-                groups[request.key] = []
-                order.append(request.key)
-            groups[request.key].append(request)
+        self._settle(process_batch(self.engine, self.cache, None, live, self._clock))
 
-        # Re-check the cache per group: a request that missed at submit time
-        # may have been computed by an earlier batch while it sat in the
-        # queue (batches are processed sequentially, so this is race-free).
-        if self.cache is not None:
-            remaining = []
-            for group_key in order:
-                requests = groups[group_key]
-                cached = self._cache_get(group_key, requests[0].trace)
-                if cached is not None:
-                    segmentation, binary = cached
-                    for request in requests:
-                        self._resolve(request, segmentation, cache_hit=True, binary=binary)
-                else:
-                    remaining.append(group_key)
-            order = remaining
-            if not order:
-                return
-
-        representatives = [groups[group_key][0].image for group_key in order]
-        compute_start = self._clock()
-        results = self.engine.executor.map(
-            functools.partial(_segment_image, self.engine), representatives
-        )
-        compute_end = self._clock()
-        for group_key, outcome in zip(order, results):
-            requests = groups[group_key]
-            if not isinstance(outcome, Exception):
-                for request in requests:
-                    if request.trace is not None:
-                        request.trace.add(
-                            "engine.compute",
-                            compute_start,
-                            compute_end,
-                            strategy=str(outcome.extras.get("fast_path", "direct")),
-                            runtime_seconds=float(outcome.runtime_seconds),
-                            prepare_seconds=float(outcome.extras.get("prepare_seconds", 0.0)),
-                            batch_groups=len(order),
-                        )
-            if isinstance(outcome, Exception):
-                for request in requests:
-                    request.future.set_exception(outcome)
+    def _settle(self, outcomes: List[Outcome]) -> None:
+        """Resolve each request's future and the service counters."""
+        for request, result, _, coalesced in outcomes:
+            trace = request.trace
+            if isinstance(result, Exception):
+                request.future.set_exception(result)
                 with self._lock:
-                    self._failed += len(requests)
+                    self._failed += 1
+                if trace is not None:
+                    trace.annotate(error=type(result).__name__)
+                    self.tracer.record(trace)
                 continue
-            # Pre-compute the annotation-free binarization once per distinct
-            # image: it is a pure function of the labels, so cache hits for
-            # unannotated requests can skip scoring entirely.
-            binary = binarize_largest_background(outcome.labels)
-            if self.cache is not None:
-                self.cache.put(group_key, (outcome, binary))
-            for position, request in enumerate(requests):
-                self._resolve(
-                    request,
-                    outcome,
-                    cache_hit=False,
-                    coalesced=position > 0,
-                    binary=binary,
-                )
-
-    def _resolve(
-        self,
-        request: _Request,
-        segmentation: SegmentationResult,
-        cache_hit: bool,
-        coalesced: bool = False,
-        binary: Optional[np.ndarray] = None,
-    ) -> None:
-        if coalesced:
+            self._latency.record(self._clock() - request.submitted_at)
             with self._lock:
-                self._coalesced += 1
-        trace = request.trace
-        score_start = trace.clock() if trace is not None else 0.0
-        try:
-            tagged = dataclasses.replace(
-                segmentation,
-                extras={
-                    **segmentation.extras,
-                    "cache_hit": cache_hit,
-                    "coalesced": coalesced,
-                },
-            )
-            if request.ground_truth is None and binary is not None:
-                # No annotation to score against: the pre-computed
-                # binarization is the entire evaluation protocol.
-                result = PipelineResult(segmentation=tagged, binary=binary, metrics={})
-            else:
-                result = self.engine.pipeline.score(
-                    tagged, request.ground_truth, request.void_mask
-                )
-        except Exception as exc:  # noqa: BLE001 - scoring failures stay per-request
-            if not request.future.done():
-                request.future.set_exception(exc)
-            with self._lock:
-                self._failed += 1
+                self._completed += 1
+                self._coalesced += coalesced
             if trace is not None:
-                trace.annotate(error=type(exc).__name__)
                 self.tracer.record(trace)
-            return
-        self._latency.record(self._clock() - request.submitted_at)
-        with self._lock:
-            self._completed += 1
-        if trace is not None:
-            trace.add("scoring", score_start, trace.clock())
-            trace.annotate(cache_hit=cache_hit, coalesced=coalesced)
-            self.tracer.record(trace)
-        request.future.set_result(result)
+            request.future.set_result(result)
 
     # ------------------------------------------------------------------ #
     # observability

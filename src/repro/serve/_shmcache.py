@@ -1,8 +1,8 @@
 """Shared-memory result cache: the lock-free same-host L1.5 tier.
 
-A fleet of worker processes (:mod:`repro.serve.fleet`) shares one disk L2,
-but every warm hit out of it pays a file open plus an npz inflate — real
-milliseconds on the serving path.  :class:`SharedMemoryResultCache` removes
+A fleet of worker processes (:class:`~repro.serve.ServeFleet`) shares one
+disk L2, but every warm hit out of it pays a file open plus an npz inflate —
+real milliseconds on the serving path.  :class:`SharedMemoryResultCache` removes
 that cost for workers on the *same host*: one ``multiprocessing.shared_memory``
 segment holds a fixed ring of slots, keyed by the existing content digests,
 that any worker can read with a single memcpy and no coordination.

@@ -1,6 +1,6 @@
 """Job sources and the driver for ``repro-segment serve``.
 
-The CLI feeds a :class:`~repro.serve.service.SegmentationService` from one of
+The CLI feeds a :class:`~repro.serve.SegmentationService` from one of
 two job sources:
 
 * a **spool directory** — every supported image file is one job.  One-shot

@@ -140,10 +140,10 @@ def test_engine_reports_backend_in_describe(backend):
 # digest invariance: warm caches survive a backend switch
 # --------------------------------------------------------------------- #
 def test_config_digest_is_backend_invariant_for_exact_float_compute():
-    from repro.serve._service import _engine_fingerprint
+    from repro.serve._cache import engine_fingerprint
 
     fingerprints = {
-        name: _engine_fingerprint(
+        name: engine_fingerprint(
             BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi), backend=name)
         )
         for name in BACKENDS
@@ -156,7 +156,7 @@ def test_config_digest_is_backend_invariant_for_exact_float_compute():
 
 
 def test_config_digest_splits_for_non_bit_exact_float_backends():
-    from repro.serve._service import _engine_fingerprint
+    from repro.serve._cache import engine_fingerprint
 
     class _ApproxBackend(NumpyBackend):
         name = "approx-test"
@@ -169,8 +169,8 @@ def test_config_digest_splits_for_non_bit_exact_float_backends():
         IQFTSegmenter(thetas=np.pi), backend=_ApproxBackend(), float_compute="backend"
     )
     assert not approx.backend_invariant
-    exact_fp = _engine_fingerprint(exact)
-    approx_fp = _engine_fingerprint(approx)
+    exact_fp = engine_fingerprint(exact)
+    approx_fp = engine_fingerprint(approx)
     assert approx_fp["float_backend"] == "approx-test"
     assert exact_fp != approx_fp
 

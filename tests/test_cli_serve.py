@@ -160,7 +160,7 @@ def test_serve_watch_mode_stops_on_stop_file(tmp_path, rng):
 
 
 def test_iter_spool_jobs_watch_waits_for_files_to_settle(tmp_path, rng):
-    from repro.serve.spool import iter_spool_jobs
+    from repro.serve import iter_spool_jobs
 
     write_image(tmp_path / "a.png", (rng.random((8, 8, 3)) * 255).astype(np.uint8))
     jobs = iter_spool_jobs(str(tmp_path), watch=True, poll_seconds=0.01)
@@ -183,7 +183,7 @@ def test_iter_spool_jobs_serves_files_spooled_before_the_stop_file(tmp_path, rng
     """
     import os
 
-    from repro.serve import spool
+    from repro.serve import _spool as spool
 
     write_image(tmp_path / "a.png", (rng.random((8, 8, 3)) * 255).astype(np.uint8))
     real_listdir = os.listdir
@@ -440,7 +440,7 @@ def test_serve_http_end_to_end_with_graceful_sigterm(tmp_path, rng):
     import subprocess
     import sys as _sys
 
-    from repro.serve.http_client import SegmentClient
+    from repro.serve import SegmentClient
 
     report_path = tmp_path / "report.json"
     env = dict(os.environ)
@@ -527,7 +527,7 @@ def test_serve_http_worker_fleet_restarts_and_drains(tmp_path, rng):
     import sys as _sys
     import time
 
-    from repro.serve.http_client import SegmentClient
+    from repro.serve import SegmentClient
 
     report_path = tmp_path / "fleet-report.json"
     env = dict(os.environ)

@@ -1,4 +1,4 @@
-"""Tests for the multi-process serving fleet (``repro.serve.fleet``).
+"""Tests for the multi-process serving fleet (``repro.serve.ServeFleet``).
 
 The integration tests spawn real worker processes (the same start method
 production uses), so they keep the workload tiny: 2 workers, small images,
@@ -53,6 +53,7 @@ def _snapshot(completed, l2_hits=0, weight=4, latency=0.01):
         "requests": completed,
         "completed": completed,
         "failed": 0,
+        "in_flight": 1,
         "queue_depth": 1,
         "batches": completed,
         "mean_batch_size": 1.0,
@@ -98,6 +99,7 @@ def test_merge_sums_counters_and_merges_lanes():
     merged = merge_worker_metrics([_snapshot(3), _snapshot(5)])
     assert merged["workers_scraped"] == 2
     assert merged["completed"] == 8
+    assert merged["in_flight"] == 2
     assert merged["queue_depth"] == 2
     assert merged["shed"]["admission"] == 2
     assert merged["throughput_rps"] == pytest.approx(8.0)

@@ -1,4 +1,4 @@
-"""Tests for the HTTP serving front end (``repro.serve.http`` + client)."""
+"""Tests for the HTTP serving front end (``HttpSegmentationServer`` + client)."""
 
 import asyncio
 import base64
@@ -6,6 +6,7 @@ import contextlib
 import http.client
 import io
 import json
+import re
 import socket
 import threading
 
@@ -25,8 +26,13 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.imaging.io_png import write_png
-from repro.serve import AsyncSegmentationService, HttpSegmentationServer, SegmentClient
-from repro.serve.http import decode_array_payload, status_for_exception
+from repro.serve import (
+    AsyncSegmentationService,
+    HttpSegmentationServer,
+    SegmentClient,
+    status_for_exception,
+)
+from repro.serve._http import decode_array_payload
 
 
 def _engine(**kwargs):
@@ -409,6 +415,69 @@ def test_get_with_a_body_keeps_keepalive_framing_synced(rng):
             assert "lanes" in json.loads(payload)
         finally:
             conn.close()
+
+
+def _raw_exchange(port, raw_bytes, timeout=5.0):
+    """Send raw bytes; return ``(everything answered, server closed)``.
+
+    Reads until the server closes the connection (EOF or reset) or
+    ``timeout`` passes with the connection still open.
+    """
+    data = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(raw_bytes)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return data, True
+                data += chunk
+        except ConnectionResetError:
+            return data, True
+        except socket.timeout:
+            return data, False
+
+
+def _status_lines(data):
+    # Pipelined responses follow each other with no separator after a body.
+    return [int(code) for code in re.findall(rb"HTTP/1\.[01] (\d{3}) ", data)]
+
+
+def _segment_head(length_headers):
+    return (
+        "POST /v1/segment HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-npy\r\n"
+        + "".join(f"{line}\r\n" for line in length_headers)
+        + "\r\n"
+    ).encode("latin-1")
+
+
+def test_content_length_must_be_plain_digits(rng):
+    body = _npy_bytes(_image(rng, (4, 4, 3)))
+    length = "_".join(str(len(body)))  # int() accepts "1_7_6"; HTTP does not
+    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+        head = _segment_head([f"Content-Length: {length}"])
+        data, closed = _raw_exchange(box["port"], head + body)
+    assert _status_lines(data) == [400]
+    assert closed
+
+
+def test_repeated_content_length_is_rejected(rng):
+    body = _npy_bytes(_image(rng, (4, 4, 3)))
+    head = _segment_head(["Content-Length: 5", f"Content-Length: {len(body)}"])
+    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+        data, closed = _raw_exchange(box["port"], head + body)
+    assert _status_lines(data) == [400]
+    assert closed
+
+
+def test_transfer_encoding_is_refused_and_a_pipelined_request_is_not_smuggled(rng):
+    body = _npy_bytes(_image(rng, (4, 4, 3)))
+    head = _segment_head(["Transfer-Encoding: chunked", f"Content-Length: {len(body)}"])
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+        data, closed = _raw_exchange(box["port"], head + body + smuggled)
+    assert _status_lines(data) == [501]  # one answer: the GET never ran
+    assert closed
 
 
 def test_decode_array_payload_rejects_non_image_arrays():

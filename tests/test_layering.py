@@ -1,32 +1,26 @@
 """The serve layer imports compute only through the ``repro.engine`` surface.
 
-``tools/check_layering.py`` is the CI gate; these tests run the same checker
-in the tier-1 suite (so a violation fails locally before CI sees it) and pin
-its detection logic against synthetic trees — including the relative-import
-resolution, which is where an AST-based checker most easily goes blind.
+reprolint rule RL001 (``python -m tools.reprolint --rules RL001``) is the CI
+gate; these tests run the same checker in the tier-1 suite (so a violation
+fails locally before CI sees it) and pin its detection logic against
+synthetic trees — including the relative-import resolution, which is where
+an AST-based checker most easily goes blind.
 """
 
-import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
+if str(_REPO) not in sys.path:
+    sys.path.insert(0, str(_REPO))
 
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_layering", _REPO / "tools" / "check_layering.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tools.reprolint.rules.layering import check_layering  # noqa: E402
 
 
 def test_repo_tree_has_no_layering_violations():
-    checker = _load_checker()
-    violations = checker.check_layering(_SRC)
-    assert violations == []
+    assert check_layering(_SRC) == []
 
 
 def _write_tree(root: Path, serve_source: str) -> Path:
@@ -39,40 +33,35 @@ def _write_tree(root: Path, serve_source: str) -> Path:
 
 
 def test_checker_flags_absolute_core_import(tmp_path):
-    checker = _load_checker()
     _write_tree(tmp_path, "from repro.core.lut import apply_lut\n")
-    violations = checker.check_layering(tmp_path)
+    violations = check_layering(tmp_path)
     assert len(violations) == 1
     assert "repro.core.lut" in violations[0]
 
 
 def test_checker_flags_relative_core_import(tmp_path):
-    checker = _load_checker()
     _write_tree(tmp_path, "from ..core import IQFTSegmenter\n")
-    violations = checker.check_layering(tmp_path)
+    violations = check_layering(tmp_path)
     assert len(violations) == 1
     assert "repro.core" in violations[0]
 
 
 def test_checker_flags_engine_submodule_but_allows_surface(tmp_path):
-    checker = _load_checker()
     _write_tree(
         tmp_path,
         "from ..engine import BatchSegmentationEngine\n"  # sanctioned
         "from repro.engine.engine import _hook_accepts_backend\n",  # internal
     )
-    violations = checker.check_layering(tmp_path)
+    violations = check_layering(tmp_path)
     assert len(violations) == 1
     assert "repro.engine.engine" in violations[0]
 
 
-def test_checker_cli_exits_zero_on_the_repo(tmp_path):
-    import subprocess
-
+def test_checker_cli_exits_zero_on_the_repo():
     proc = subprocess.run(
-        [sys.executable, str(_REPO / "tools" / "check_layering.py"), "--root", str(_SRC)],
+        [sys.executable, "-m", "tools.reprolint", "--rules", "RL001"],
+        cwd=_REPO,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "layering ok" in proc.stdout

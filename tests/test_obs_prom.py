@@ -1,5 +1,11 @@
 """Tests for Prometheus exposition rendering and validation (``repro.obs.prom``)."""
 
+import asyncio
+import copy
+import fnmatch
+
+import numpy as np
+
 from repro.metrics.runtime import LatencyRecorder
 from repro.obs import render_prometheus, validate_exposition
 from repro.obs.prom import main
@@ -133,6 +139,85 @@ def test_render_skips_malformed_subtrees():
     )
     assert "repro_completed_total 1" in text
     assert validate_exposition(text) == []
+
+
+#: Numeric leaves of a live snapshot that are deliberately not exported.
+_NOT_EXPORTED = (
+    # Point summaries of the latency sketches; the sketches render as
+    # histograms, from whose buckets Prometheus computes any quantile.
+    "latency_seconds.*",
+    "lanes.*.latency_seconds.*",
+    # The tiered cache's roll-up hit rates: each tier's own hit_rate
+    # renders as cache_hit_rate{tier=...}, and the overall rate follows
+    # from the per-tier hit/miss counters.
+    "cache.hit_rate",
+    "cache.*_hit_rate",
+    # The live lane weights, already exported as lane_weight{lane=...}.
+    "adaptive.lane_weights.*",
+)
+
+
+def _numeric_leaves(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path
+
+
+def _live_snapshot(tmp_path):
+    """Metrics of a service with every optional subsystem switched on."""
+    from repro import BatchSegmentationEngine, IQFTSegmenter
+    from repro.serve import (
+        AsyncSegmentationService,
+        DiskResultCache,
+        HttpSegmentationServer,
+        ResultCache,
+        SharedMemoryResultCache,
+        TieredResultCache,
+    )
+
+    rng = np.random.default_rng(5)
+    shm = SharedMemoryResultCache.create(4 << 20, slot_bytes=1 << 20)
+    cache = TieredResultCache(ResultCache(max_entries=8), DiskResultCache(str(tmp_path)), shm=shm)
+    engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
+    service = AsyncSegmentationService(engine, cache=cache, adaptive=True)
+    server = HttpSegmentationServer(service, port=0)
+
+    async def drive():
+        async with service:
+            images = [rng.integers(0, 255, (32, 32, 3), dtype=np.uint8) for _ in range(3)]
+            await service.map(images)
+            await service.map(images)  # cache hits
+            frame = rng.integers(0, 255, (128, 128, 3), dtype=np.uint8)
+            await service.submit(frame, stream_id="cam")
+            frame[:8, :8] = 0
+            await service.submit(frame, stream_id="cam")  # dirty-tile path
+            return service.metrics()
+
+    return {**asyncio.run(drive()), "http": server.http_metrics()}
+
+
+def test_every_numeric_leaf_of_a_live_snapshot_is_exported(tmp_path):
+    snapshot = _live_snapshot(tmp_path)
+    assert snapshot["delta"]["frames"] >= 1 and snapshot["trace"]["recorded"] >= 1
+    assert validate_exposition(render_prometheus(snapshot)) == []
+    unexported = []
+    for index, path in enumerate(_numeric_leaves(snapshot)):
+        dotted = ".".join(path)
+        if any(fnmatch.fnmatchcase(dotted, pattern) for pattern in _NOT_EXPORTED):
+            continue
+        # A leaf is exported when changing its value changes a sample value.
+        mutated = copy.deepcopy(snapshot)
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        sentinel = 900001 + index
+        node[path[-1]] = sentinel
+        samples = render_prometheus(mutated).splitlines()
+        if not any(line.endswith(f" {sentinel}") for line in samples):
+            unexported.append(dotted)
+    assert unexported == []
 
 
 # --------------------------------------------------------------------------- #

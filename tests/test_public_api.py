@@ -1,13 +1,12 @@
-"""The consolidated public API surface and its deprecation shims.
+"""The consolidated public API surface.
 
 ``repro`` and ``repro.serve`` declare their supported names in ``__all__``
 and resolve them lazily (PEP 562).  These tests pin three promises:
 
 * every advertised name actually imports (no stale ``__all__`` entries),
 * laziness is real — ``import repro`` does not pull in heavy subsystems,
-* the old deep serve paths (``repro.serve.fleet``, ...) keep working but
-  emit :class:`DeprecationWarning` and alias the real module *identically*
-  (so monkeypatching through an old path still patches the live code).
+* the deep serve paths deprecated in 1.x (``repro.serve.fleet``, ...) are
+  gone since 2.0.0: ``repro.serve`` is the only way in.
 """
 
 import importlib
@@ -19,19 +18,19 @@ import pytest
 import repro
 import repro.serve
 
-#: Old deep import path → the private module that now holds the code.
-_SERVE_SHIMS = {
-    "repro.serve.aio": "repro.serve._aio",
-    "repro.serve.batcher": "repro.serve._batcher",
-    "repro.serve.cache": "repro.serve._cache",
-    "repro.serve.diskcache": "repro.serve._diskcache",
-    "repro.serve.fleet": "repro.serve._fleet",
-    "repro.serve.http": "repro.serve._http",
-    "repro.serve.http_client": "repro.serve._http_client",
-    "repro.serve.service": "repro.serve._service",
-    "repro.serve.shmcache": "repro.serve._shmcache",
-    "repro.serve.spool": "repro.serve._spool",
-}
+#: The deep import paths removed in 2.0.0 (each was a deprecation shim).
+_REMOVED_SERVE_PATHS = (
+    "repro.serve.aio",
+    "repro.serve.batcher",
+    "repro.serve.cache",
+    "repro.serve.diskcache",
+    "repro.serve.fleet",
+    "repro.serve.http",
+    "repro.serve.http_client",
+    "repro.serve.service",
+    "repro.serve.shmcache",
+    "repro.serve.spool",
+)
 
 
 @pytest.mark.parametrize("name", sorted(repro.__all__))
@@ -72,32 +71,22 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "2.0.0"
     assert "__version__" in repro.__all__
 
 
-@pytest.mark.parametrize("old_path", sorted(_SERVE_SHIMS))
+@pytest.mark.parametrize("old_path", _REMOVED_SERVE_PATHS)
 def test_deprecated_serve_paths_warn_and_alias_the_real_module(old_path):
-    real = importlib.import_module(_SERVE_SHIMS[old_path])
-    # Drop any cached entry so the shim body (and its warning) re-executes.
+    # The 1.x shims are deleted: the old path no longer imports at all.
+    # (The test keeps its 1.x name so its ids stay comparable across releases.)
     sys.modules.pop(old_path, None)
-    with pytest.warns(DeprecationWarning, match="deprecated import path"):
-        shim = importlib.import_module(old_path)
-    assert shim is real
-    assert sys.modules[old_path] is real
-
-
-def test_monkeypatching_through_an_old_path_patches_the_live_module(monkeypatch):
-    # The shims alias (not copy) the real module, so test suites that patch
-    # attributes via the historical path still affect the running code.
-    old = importlib.import_module("repro.serve.fleet")
-    monkeypatch.setattr(old, "_PATCH_PROBE", "patched", raising=False)
-    assert repro.serve._fleet._PATCH_PROBE == "patched"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(old_path)
 
 
 def test_serve_surface_covers_the_shim_modules_public_names():
-    # Every class the old paths exposed is reachable from repro.serve —
-    # the migration recipe in the shim docstrings must actually work.
+    # Every class the removed paths exposed is reachable from repro.serve —
+    # the 2.0.0 migration ("import from repro.serve") must actually work.
     for name in ("ServeFleet", "WorkerSpec", "MicroBatcher", "SegmentClient",
                  "SegmentationService", "AsyncSegmentationService", "ResultCache"):
         assert hasattr(repro.serve, name), name

@@ -455,33 +455,6 @@ def test_rl008_fires_without_getattr_for_lazy_table(tmp_path):
     assert rule_ids(findings) == ["RL008"]
 
 
-def test_rl008_shim_pairing_both_directions(tmp_path):
-    findings = run_on_tree(
-        tmp_path,
-        {
-            "src/repro/serve/_orphan.py": "X = 1\n",  # private without a shim
-            "src/repro/serve/dangling.py": "from . import _dangling as _real\n",  # shim w/o target
-        },
-        rules=["RL008"],
-    )
-    messages = sorted(f.message for f in findings)
-    assert len(messages) == 2
-    assert any("no deprecation shim" in message for message in messages)
-    assert any("missing private module" in message for message in messages)
-
-
-def test_rl008_clean_on_paired_shim(tmp_path):
-    findings = run_on_tree(
-        tmp_path,
-        {
-            "src/repro/serve/_aio.py": "X = 1\n",
-            "src/repro/serve/aio.py": "from . import _aio as _real\n",
-        },
-        rules=["RL008"],
-    )
-    assert findings == []
-
-
 # --------------------------------------------------------------------- #
 # suppressions
 # --------------------------------------------------------------------- #

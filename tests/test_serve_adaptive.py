@@ -1,6 +1,6 @@
 """Tests for the adaptive control loop and the mergeable latency sketches.
 
-The controller (``repro.serve.batcher.AdaptiveController``) is exercised as
+The controller (``repro.serve.AdaptiveController``) is exercised as
 a pure decision function with synthetic telemetry; the service-level tests
 then check the loop is actually wired into ``AsyncSegmentationService``
 (ticks recorded, derived values bounded, floors respected) without relying

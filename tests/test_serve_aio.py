@@ -1,4 +1,4 @@
-"""Tests for the asyncio serving front end (``repro.serve.aio``)."""
+"""Tests for the asyncio serving front end (``repro.serve.AsyncSegmentationService``)."""
 
 import asyncio
 import threading
@@ -17,7 +17,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.serve import AsyncSegmentationService, Priority, ResultCache, TokenBucket
-from repro.serve.aio import _AsyncRequest
+from repro.serve._aio import _AsyncRequest
 
 
 class FakeClock:
@@ -464,6 +464,44 @@ def test_describe_and_metrics_shape(rng):
     assert set(metrics["latency_seconds"]) >= {"count", "mean", "max", "p50", "p90", "p99"}
     assert metrics["batches"] >= 1
     assert metrics["ewma_request_seconds"] > 0
+
+
+def test_in_flight_counts_admitted_requests_until_they_settle():
+    segmenter = GatedSegmenter()
+    engine = BatchSegmentationEngine(segmenter)
+
+    async def scenario():
+        service = AsyncSegmentationService(
+            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
+        )
+        blocker = asyncio.ensure_future(service.submit(_image(None, value=1)))
+        await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
+        # Queued behind the gated batch: one expires there, one is cancelled
+        # by its caller, one fails at scoring (ground truth of the wrong shape).
+        expiring = asyncio.ensure_future(service.submit(_image(None, value=2), deadline=0.05))
+        abandoned = asyncio.ensure_future(service.submit(_image(None, value=3)))
+        failing = asyncio.ensure_future(
+            service.submit(_image(None, value=4), ground_truth=np.zeros((2, 2), dtype=np.int64))
+        )
+        await asyncio.sleep(0.2)
+        gated = service.metrics()["in_flight"]
+        abandoned.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await abandoned
+        segmenter.gate.set()
+        await blocker
+        with pytest.raises(DeadlineExceededError):
+            await expiring
+        with pytest.raises(Exception):
+            await failing
+        await service.aclose()
+        return gated, service.metrics()
+
+    gated, metrics = asyncio.run(scenario())
+    assert gated == 4
+    assert metrics["in_flight"] == 0
+    assert (metrics["requests"], metrics["completed"], metrics["failed"]) == (4, 1, 1)
+    assert (metrics["cancelled"], metrics["shed"]["expired"]) == (1, 1)
 
 
 def test_begin_drain_rejects_new_submits_but_finishes_queued_work(rng):

@@ -1,4 +1,4 @@
-"""Tests for the micro-batcher (``repro.serve.batcher``)."""
+"""Tests for the micro-batcher (``repro.serve.MicroBatcher``)."""
 
 import queue
 import threading
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.errors import ParameterError
-from repro.serve.batcher import MicroBatcher
+from repro.serve import MicroBatcher
 
 
 def test_flush_on_size_returns_full_batch_immediately():

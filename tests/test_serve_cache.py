@@ -1,10 +1,10 @@
-"""Tests for the content-addressed result cache (``repro.serve.cache``)."""
+"""Tests for the content-addressed result cache (``repro.serve.ResultCache``)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.serve.cache import ResultCache, config_digest, image_digest
+from repro.serve import ResultCache, config_digest, image_digest
 
 
 class FakeClock:

@@ -1,4 +1,4 @@
-"""Tests for the persistent disk cache (``repro.serve.diskcache``)."""
+"""Tests for the persistent disk cache (``repro.serve.DiskResultCache``)."""
 
 import multiprocessing
 import os
@@ -9,8 +9,7 @@ import pytest
 
 from repro.base import SegmentationResult
 from repro.errors import CacheError, ParameterError
-from repro.serve.cache import ResultCache, TieredResultCache, image_digest
-from repro.serve.diskcache import DiskResultCache
+from repro.serve import DiskResultCache, ResultCache, TieredResultCache, image_digest
 
 
 def _value(rng, shape=(6, 7), method="test"):
@@ -197,7 +196,7 @@ def test_ttl_survives_a_backwards_wall_clock_step(tmp_path, rng, monkeypatch):
 
 
 def test_sweep_lock_with_future_mtime_is_still_broken(tmp_path, rng):
-    from repro.serve.diskcache import _DirectoryLock
+    from repro.serve._diskcache import _DirectoryLock
 
     lock_path = str(tmp_path / ".repro-cache.lock")
     with open(lock_path, "w"):
@@ -428,7 +427,7 @@ def test_corrupt_dropped_counter_is_separate_from_io_errors(tmp_path, rng):
 
 def test_sweep_counters_survive_a_failing_lock_release(tmp_path, rng, monkeypatch):
     """Counters are committed even when the sweep aborts on the lock path."""
-    from repro.serve import diskcache as diskcache_module
+    from repro.serve import _diskcache as diskcache_module
 
     cache = DiskResultCache(str(tmp_path), max_entries=1)
     first = _key(rng, config="a")
@@ -493,7 +492,7 @@ def test_lock_with_failing_stat_paces_and_eventually_breaks(tmp_path, monkeypatc
     failing ``stat`` spun forever.  It now paces itself like the fresh-lock
     path and breaks the lock once the monotonic deadline passes.
     """
-    from repro.serve import diskcache as dc
+    from repro.serve import _diskcache as dc
 
     lock_path = str(tmp_path / ".repro-cache.lock")
     fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)  # "held"
@@ -539,7 +538,7 @@ def test_vanished_entries_resync_approximate_footprint(tmp_path, rng):
     process evicted its entries, and keep triggering sweeps.  Observing
     enough lookups hit ``FileNotFoundError`` now forces a full rescan.
     """
-    from repro.serve.diskcache import _VANISH_RESYNC_OBSERVATIONS
+    from repro.serve._diskcache import _VANISH_RESYNC_OBSERVATIONS
 
     cache = DiskResultCache(str(tmp_path))
     keys = [_key(rng, config=f"cfg-{i}") for i in range(4)]

@@ -1,4 +1,4 @@
-"""Tests for :class:`repro.serve.service.SegmentationService`."""
+"""Tests for :class:`repro.serve.SegmentationService`."""
 
 import threading
 

@@ -1,4 +1,4 @@
-"""Tests for the shared-memory L1.5 cache tier (``repro.serve.shmcache``)."""
+"""Tests for the shared-memory L1.5 cache tier (``repro.serve.SharedMemoryResultCache``)."""
 
 import multiprocessing
 import os
@@ -10,9 +10,8 @@ import pytest
 
 from repro.base import SegmentationResult
 from repro.errors import CacheError, ParameterError
-from repro.serve.cache import ResultCache, TieredResultCache, image_digest
-from repro.serve.fleet import WorkerSpec
-from repro.serve.shmcache import (
+from repro.serve import ResultCache, TieredResultCache, WorkerSpec, image_digest
+from repro.serve._shmcache import (
     _HEADER,
     _HEADER_SIZE,
     _SUPER_SIZE,
@@ -239,7 +238,7 @@ def test_ttl_expires_entries_since_store(rng, monkeypatch):
     )
     try:
         now = {"value": 1000.0}
-        monkeypatch.setattr("repro.serve.shmcache.time.monotonic", lambda: now["value"])
+        monkeypatch.setattr("repro.serve._shmcache.time.monotonic", lambda: now["value"])
         key = _key(rng)
         cache.put(key, _value(rng))
         now["value"] = 1009.0
@@ -367,7 +366,7 @@ def test_entries_are_visible_across_processes(rng):
 # --------------------------------------------------------------------------- #
 def test_tiered_promotes_shm_hits_into_l1(shm_cache, rng):
     l1 = ResultCache(max_entries=8)
-    from repro.serve.diskcache import DiskResultCache
+    from repro.serve import DiskResultCache
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -386,7 +385,7 @@ def test_tiered_promotes_shm_hits_into_l1(shm_cache, rng):
 
 def test_tiered_promotes_disk_hits_into_shm(shm_cache, rng, tmp_path):
     l1 = ResultCache(max_entries=8)
-    from repro.serve.diskcache import DiskResultCache
+    from repro.serve import DiskResultCache
 
     disk = DiskResultCache(str(tmp_path))
     tiered = TieredResultCache(l1=l1, l2=disk, shm=shm_cache)
@@ -399,7 +398,7 @@ def test_tiered_promotes_disk_hits_into_shm(shm_cache, rng, tmp_path):
 
 
 def test_tiered_put_writes_through_all_three_tiers(shm_cache, rng, tmp_path):
-    from repro.serve.diskcache import DiskResultCache
+    from repro.serve import DiskResultCache
 
     l1 = ResultCache(max_entries=8)
     disk = DiskResultCache(str(tmp_path))

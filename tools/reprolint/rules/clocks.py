@@ -35,7 +35,7 @@ SERVE_PATH_PREFIXES = (
 )
 
 #: Wall clock is legitimate where values are compared against file mtimes.
-ALLOWLISTED_MODULES = frozenset({"repro.serve.diskcache", "repro.serve._diskcache"})
+ALLOWLISTED_MODULES = frozenset({"repro.serve._diskcache"})
 
 _WALL_CLOCK_CALLS = frozenset({"time.time", "datetime.utcnow", "datetime.datetime.utcnow"})
 _NOW_CALLS = frozenset({"datetime.now", "datetime.datetime.now"})

@@ -3,9 +3,7 @@
 The architecture is a strict stack (``repro.backend -> repro.engine ->
 repro.serve -> fleet/CLI``); serve code importing ``repro.core.*`` or an
 engine *submodule* couples the serving stack to compute internals and makes
-the public-surface promise in ``repro/__init__.py`` unenforceable.  This rule
-absorbs the former ``tools/check_layering.py`` (PR 8), which remains as a
-thin CLI shim over :func:`check_layering`.
+the public-surface promise in ``repro/__init__.py`` unenforceable.
 """
 
 from __future__ import annotations
@@ -90,10 +88,10 @@ class LayeringRule(Rule):
 
 
 def check_layering(src_root: Path) -> List[str]:
-    """Compatibility surface for the ``tools/check_layering.py`` shim.
+    """RL001 over ``<src_root>/repro/serve`` as one string per violation.
 
-    Walks ``<src_root>/repro/serve`` and returns the legacy one-line-per-
-    violation strings (absolute path, line, message) the old checker printed.
+    Each string is ``path:line: message`` (absolute path); the list is empty
+    when the serve layer respects the engine surface.
     """
     serve_dir = Path(src_root) / "repro" / "serve"
     out: List[str] = []

@@ -1,16 +1,10 @@
 """RL008 — the public surface stays consistent.
 
-Two checks keep the PR-8 API consolidation from rotting:
-
-* every name in a module's ``__all__`` must resolve — either defined/imported
-  statically, or reachable through the module's lazy PEP-562 export table
-  (a literal dict whose keys are the lazy names, when ``__getattr__`` is
-  defined).  ``__all__ = list(_EXPORTS)`` and ``[..., *_EXPORTS]`` are
-  understood.
-* deprecation shims in ``repro.serve`` stay paired with their ``_``-prefixed
-  real module, in both directions: a shim whose target module vanished is
-  dead code, and a private ``_mod.py`` without its ``mod.py`` shim silently
-  breaks the "old deep paths keep working" promise.
+Every name in a module's ``__all__`` must resolve — either defined/imported
+statically, or reachable through the module's lazy PEP-562 export table (a
+literal dict whose keys are the lazy names, when ``__getattr__`` is
+defined).  ``__all__ = list(_EXPORTS)`` and ``[..., *_EXPORTS]`` are
+understood.
 """
 
 from __future__ import annotations
@@ -19,10 +13,6 @@ import ast
 from typing import Iterator, List, Optional, Set
 
 from ..engine import FileContext, Finding, Rule, register
-
-#: Serve-package private modules that are implementation detail *without* a
-#: public shim counterpart (no pre-rename public path ever existed for them).
-_SHIMLESS_PRIVATE = frozenset({"__init__"})
 
 
 def _literal_str_elements(node: ast.AST, lazy_tables: dict) -> Optional[List[str]]:
@@ -114,20 +104,12 @@ class PublicSurfaceRule(Rule):
     id = "RL008"
     name = "public-surface-consistency"
     severity = "error"
-    description = (
-        "__all__ names must resolve (statically or via the lazy export table) "
-        "and serve deprecation shims stay paired with their _private modules"
-    )
+    description = "__all__ names must resolve (statically or via the lazy export table)"
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.module == "repro" or ctx.module.startswith("repro.")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        yield from self._check_all_resolves(ctx)
-        if ctx.module.startswith("repro.serve"):
-            yield from self._check_shim_pairing(ctx)
-
-    def _check_all_resolves(self, ctx: FileContext) -> Iterator[Finding]:
         tree = ctx.tree
         lazy_tables = _lazy_export_tables(tree)
         has_getattr = any(
@@ -157,39 +139,3 @@ class PublicSurfaceRule(Rule):
                         f"__all__ exports {name!r} but nothing in the module defines "
                         f"it (statically or via the lazy export table)",
                     )
-
-    def _check_shim_pairing(self, ctx: FileContext) -> Iterator[Finding]:
-        stem = ctx.path.stem
-        if ctx.path.parent.name != "serve":
-            return
-        if stem.startswith("_") and stem not in _SHIMLESS_PRIVATE:
-            shim = ctx.path.with_name(stem.lstrip("_") + ".py")
-            if not shim.exists():
-                yield ctx.finding(
-                    self,
-                    1,
-                    f"private module {ctx.path.name!r} has no deprecation shim "
-                    f"{shim.name!r} — the old public deep path silently broke",
-                )
-        elif not stem.startswith("_") and stem != "__init__":
-            target = ctx.path.with_name("_" + stem + ".py")
-            imports_private = any(
-                isinstance(node, ast.ImportFrom)
-                and node.level == 1
-                and any(alias.name == f"_{stem}" for alias in node.names)
-                for node in ast.walk(ctx.tree)
-            )
-            if not target.exists():
-                yield ctx.finding(
-                    self,
-                    1,
-                    f"deprecation shim {ctx.path.name!r} points at missing private "
-                    f"module {target.name!r}",
-                )
-            elif not imports_private:
-                yield ctx.finding(
-                    self,
-                    1,
-                    f"module {ctx.path.name!r} shadows private module {target.name!r} "
-                    f"but does not re-export it (expected 'from . import _{stem}')",
-                )
