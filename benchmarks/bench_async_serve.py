@@ -68,7 +68,6 @@ def test_high_lane_p99_survives_low_lane_saturation(rng, smoke_mode, emit_result
             engine,
             cache=None,
             max_batch_size=8,
-            max_wait_seconds=0.001,
             queue_size=4 * (low_count + high_count),
         )
         async with service:
@@ -149,9 +148,7 @@ def test_disk_warm_restart_skips_recomputation(
         cache = TieredResultCache(
             l1=ResultCache(max_entries=2 * count), l2=DiskResultCache(cache_dir)
         )
-        return AsyncSegmentationService(
-            engine, cache=cache, max_batch_size=8, max_wait_seconds=0.001
-        )
+        return AsyncSegmentationService(engine, cache=cache, max_batch_size=8)
 
     async def run_pass():
         service = make_service()

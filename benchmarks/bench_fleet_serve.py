@@ -98,9 +98,7 @@ def test_fleet_throughput_scales_with_workers(rng, smoke_mode, emit_result, emit
     expected = _expected_labels(images)
     # Compute-bound on purpose: no LUT, no caches — the benchmark measures
     # engine throughput behind the wire, not cache hit rates.
-    spec = WorkerSpec(
-        use_lut=False, use_cache=False, max_wait_seconds=0.002, max_batch_size=8
-    )
+    spec = WorkerSpec(use_lut=False, use_cache=False, max_batch_size=8)
 
     results = {}
     for workers in (1, 4):
@@ -164,9 +162,7 @@ def test_fleet_restart_is_warm_through_the_shared_disk_cache(
     images = _distinct_images(rng, count, side)
     expected = _expected_labels(images)
     cache_dir = str(tmp_path_factory.mktemp("fleet-l2"))
-    spec = WorkerSpec(
-        use_lut=False, max_wait_seconds=0.002, max_batch_size=8, cache_dir=cache_dir
-    )
+    spec = WorkerSpec(use_lut=False, max_batch_size=8, cache_dir=cache_dir)
 
     def run_pass(label):
         with ServeFleet(spec, port=0, workers=2, stagger_seconds=0.05) as fleet:
@@ -227,7 +223,6 @@ def test_fleet_shm_warm_hits_beat_disk_l2(
     def run_fleet(label, shm_bytes):
         spec = WorkerSpec(
             use_lut=False,
-            max_wait_seconds=0.002,
             max_batch_size=8,
             cache_dir=str(tmp_path_factory.mktemp(f"warm-{label}")),
             cache_entries=1,

@@ -50,7 +50,7 @@ def _distinct_images(rng, count, side):
 def _make_service():
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=_THETA))
     return AsyncSegmentationService(
-        engine, cache=None, max_batch_size=8, max_wait_seconds=0.001, queue_size=1024
+        engine, cache=None, max_batch_size=8, queue_size=1024
     )
 
 

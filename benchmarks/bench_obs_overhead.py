@@ -49,7 +49,6 @@ def _run_pass(images, sample_rate):
             engine,
             cache=None,  # every request computes: measure the serve path, not the cache
             max_batch_size=8,
-            max_wait_seconds=0.001,
             tracer=Tracer(sample_rate=sample_rate),
         )
         async with service:

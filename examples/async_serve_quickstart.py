@@ -44,7 +44,7 @@ def make_service(cache_dir):
         l1=ResultCache(max_entries=128), l2=DiskResultCache(cache_dir)
     )
     return AsyncSegmentationService(
-        engine, cache=cache, max_batch_size=8, max_wait_seconds=0.002, queue_size=512
+        engine, cache=cache, max_batch_size=8, queue_size=512
     )
 
 

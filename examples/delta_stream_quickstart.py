@@ -91,7 +91,6 @@ def main():
         async with AsyncSegmentationService(
             BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)),
             cache=None,
-            max_wait_seconds=0.001,
             delta_tile_shape=(TILE, TILE),
         ) as service:
             for frame in frames:

@@ -48,9 +48,7 @@ class ServerThread:
     def _run(self):
         async def main():
             engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
-            service = AsyncSegmentationService(
-                engine, max_wait_seconds=0.002, client_rate=5.0, client_burst=10
-            )
+            service = AsyncSegmentationService(engine, client_rate=5.0, client_burst=10)
             async with service:
                 server = HttpSegmentationServer(service)
                 await server.start()

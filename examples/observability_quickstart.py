@@ -87,9 +87,7 @@ class ServerThread:
     def _run(self):
         async def main():
             engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
-            service = AsyncSegmentationService(
-                engine, max_wait_seconds=0.002, tracer=Tracer(sample_rate=1.0)
-            )
+            service = AsyncSegmentationService(engine, tracer=Tracer(sample_rate=1.0))
             async with service:
                 server = HttpSegmentationServer(service)
                 await server.start()

@@ -124,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--no-lut", action="store_true", help="disable the LUT fast path")
     srv.add_argument("--max-batch", type=int, default=16, help="micro-batch flush size")
     srv.add_argument(
-        "--max-wait", type=float, default=0.01,
-        help="micro-batch flush deadline in seconds after the first queued request",
+        "--max-wait", type=float, default=None,
+        help="sync spool service only: micro-batch flush deadline in seconds after "
+        "the first queued request (default 0.01); --async/--http batch without "
+        "waiting and reject it",
     )
     srv.add_argument("--queue-size", type=int, default=64, help="bounded ingress queue capacity")
     srv.add_argument("--cache-size", type=int, default=256, help="result cache entries (LRU)")
@@ -611,7 +613,6 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
         executor=args.executor,
         jobs=args.jobs,
         max_batch_size=args.max_batch,
-        max_wait_seconds=args.max_wait,
         queue_size=args.queue_size,
         cache_entries=args.cache_size,
         ttl_seconds=args.ttl,
@@ -757,6 +758,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers is not None and not http_mode:
         print("error: --workers requires --http", file=sys.stderr)
         return 2
+    if args.max_wait is not None and use_async:
+        print(
+            "error: --max-wait configures the sync spool service; --async/--http "
+            "batch without waiting",
+            file=sys.stderr,
+        )
+        return 2
     if not http_mode:
         if args.source is None:
             print("error: a job source is required unless --http is given", file=sys.stderr)
@@ -810,7 +818,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service = SegmentationService(
                 engine,
                 max_batch_size=args.max_batch,
-                max_wait_seconds=args.max_wait,
+                max_wait_seconds=args.max_wait if args.max_wait is not None else 0.01,
                 queue_size=args.queue_size,
                 cache=_serve_cache(args),
                 tracer=Tracer(

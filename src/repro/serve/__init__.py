@@ -11,8 +11,10 @@ for request/response traffic:
   graceful draining shutdown.
 * :class:`AsyncSegmentationService` — the asyncio-native front end over the
   same engine machinery: ``await submit(image, priority=..., deadline=...,
-  client_id=...)`` with HIGH/NORMAL/LOW priority lanes (weighted draining),
-  per-client token-bucket quotas, deadline-aware admission and shedding
+  client_id=...)`` with work-conserving micro-batching (an idle worker
+  drains at once; batches form only under backlog), HIGH/NORMAL/LOW
+  priority lanes (weighted draining), per-client token-bucket quotas,
+  deadline-aware admission and shedding
   (:class:`~repro.errors.DeadlineExceededError`) and graceful ``aclose()``.
 * :class:`HttpSegmentationServer` — the stdlib-only asyncio HTTP/1.1 front
   end over the async service (``POST /v1/segment``, ``GET /v1/metrics``,

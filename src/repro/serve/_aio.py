@@ -7,6 +7,10 @@ through the same batch pipeline (:func:`process_batch`) as the threaded
 ``submit -> Future`` surface with a coroutine and replaces the single FIFO
 queue with a *multi-lane* ingress that knows about request urgency:
 
+* **work-conserving micro-batching** — an idle service drains a queued
+  request at once; batches form only from requests that arrive while the
+  previous batch computes (up to ``max_batch_size``), so a lone request never
+  waits for a batch that cannot fill.
 * **priority lanes** — every request lands in the HIGH, NORMAL or LOW lane
   (:class:`Priority`).  Batches are assembled by *weighted* draining (default
   4:2:1), so HIGH-lane latency stays bounded while a saturating LOW-lane
@@ -218,8 +222,9 @@ def _score_request(
     )
     if ground_truth is None and binary is not None:
         # No annotation to score against: the pre-computed binarization is
-        # the entire evaluation protocol.
-        return PipelineResult(segmentation=tagged, binary=binary, metrics={})
+        # the entire evaluation protocol.  Caches hold it as uint8; callers
+        # get the int64 mask the pipeline produces (and their own copy).
+        return PipelineResult(segmentation=tagged, binary=binary.astype(np.int64), metrics={})
     return engine.pipeline.score(tagged, ground_truth, void_mask)
 
 
@@ -374,8 +379,9 @@ def process_batch(
                 request.trace.add("engine.compute", start, end, **fields)
         # The annotation-free binarization is a pure function of the labels:
         # computed once per distinct image and cached with it, so cache hits
-        # for unannotated requests skip scoring entirely.
-        binary = binarize_largest_background(outcome.labels)
+        # for unannotated requests skip scoring entirely.  A 0/1 mask fits
+        # uint8, an eighth of the int64 the binarizer returns, in every tier.
+        binary = binarize_largest_background(outcome.labels).astype(np.uint8)
         if cache is not None:
             cache.put(key, (outcome, binary))
         outcomes += _score_group(engine, requests, outcome, binary, cache_hit=False)
@@ -416,9 +422,10 @@ class AsyncSegmentationService:
     ----------
     engine:
         The engine doing the work; its executor computes each micro-batch.
-    max_batch_size, max_wait_seconds:
-        Micro-batching knobs: flush a batch at this size, or this long after
-        traffic started accumulating.
+    max_batch_size:
+        Largest micro-batch.  Batching is work-conserving: whenever no batch
+        is computing, everything queued (up to this size) is drained at once,
+        so batches grow only from requests that arrive during a compute.
     queue_size:
         Bound on the *total* number of queued requests across all lanes;
         submits beyond it raise :class:`~repro.errors.ServiceOverloadedError`.
@@ -478,7 +485,6 @@ class AsyncSegmentationService:
         self,
         engine: BatchSegmentationEngine,
         max_batch_size: int = 16,
-        max_wait_seconds: float = 0.005,
         queue_size: int = 256,
         cache: Any = "default",
         lane_weights: Optional[Dict[Priority, int]] = None,
@@ -497,8 +503,6 @@ class AsyncSegmentationService:
             raise ParameterError("engine must be a BatchSegmentationEngine instance")
         if max_batch_size < 1:
             raise ParameterError("max_batch_size must be >= 1")
-        if max_wait_seconds < 0:
-            raise ParameterError("max_wait_seconds must be >= 0")
         if queue_size < 1:
             raise ParameterError("queue_size must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
@@ -512,7 +516,6 @@ class AsyncSegmentationService:
             raise ParameterError('cache must provide get/put, be None, or "default"')
         self.cache = cache
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_seconds = float(max_wait_seconds)
         self.queue_size = int(queue_size)
         self.default_deadline = default_deadline
         weights = dict(DEFAULT_LANE_WEIGHTS)
@@ -984,8 +987,8 @@ class AsyncSegmentationService:
         assert self._wakeup is not None and self._loop is not None
         while True:
             self._maybe_adapt()
-            # Phase 1: wait for traffic (or for close + empty lanes, with no
-            # submit still on its way into a lane).
+            # Wait for traffic (or for close + empty lanes, with no submit
+            # still on its way into a lane).
             while self._queue_depth() == 0:
                 if self._closed and self._admitting == 0:
                     return
@@ -995,18 +998,9 @@ class AsyncSegmentationService:
                     await asyncio.wait_for(self._wakeup.wait(), timeout=_IDLE_POLL_SECONDS)
                 except asyncio.TimeoutError:
                     continue
-            # Phase 2: let the batch fill until size or deadline (skipped when
-            # draining a close — waiting would only delay the flush).
-            window_started = self._clock()
-            while not self._closed and self._queue_depth() < self.max_batch_size:
-                remaining = self.max_wait_seconds - (self._clock() - window_started)
-                if remaining <= 0:
-                    break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
+            # Work-conserving: no batch is computing, so drain now.  Requests
+            # that arrive while this batch computes form the next one.
+            assembly_started = self._clock()
             batch = self._drain_batch()
             if not batch:
                 continue
@@ -1015,7 +1009,7 @@ class AsyncSegmentationService:
                 if request.trace is not None:
                     request.trace.add(
                         "batch.assemble",
-                        window_started,
+                        assembly_started,
                         started,
                         batch_size=len(batch),
                     )
@@ -1284,7 +1278,6 @@ class AsyncSegmentationService:
             "engine": self.engine.describe(),
             "config_digest": self._config_digest,
             "max_batch_size": self.max_batch_size,
-            "max_wait_seconds": self.max_wait_seconds,
             "queue_size": self.queue_size,
             "lane_weights": {lane.name.lower(): self.lane_weights[lane] for lane in Priority},
             "client_rate": self.client_rate,

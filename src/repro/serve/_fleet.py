@@ -93,7 +93,6 @@ class WorkerSpec:
     executor: str = "serial"
     jobs: Optional[int] = None
     max_batch_size: int = 16
-    max_wait_seconds: float = 0.01
     queue_size: int = 256
     cache_entries: int = 256
     ttl_seconds: Optional[float] = None
@@ -197,7 +196,6 @@ class WorkerSpec:
         return AsyncSegmentationService(
             engine,
             max_batch_size=self.max_batch_size,
-            max_wait_seconds=self.max_wait_seconds,
             queue_size=self.queue_size,
             cache=self.build_cache(),
             lane_weights=dict(self.lane_weights) if self.lane_weights else None,

@@ -68,6 +68,7 @@ import base64
 import binascii
 import io
 import json
+import re
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -104,6 +105,9 @@ _MAX_HEADER_BYTES = 32 * 1024
 
 #: Magic prefix of the npy serialization format.
 _NPY_MAGIC = b"\x93NUMPY"
+
+#: A header field name is an RFC 9110 token: no whitespace, no separators.
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -452,9 +456,12 @@ class HttpSegmentationServer:
             if not line:
                 continue
             name, sep, value = line.partition(":")
-            if not sep:
+            # RFC 9112 §5.1: whitespace before the colon (or a folded line)
+            # is rejected, not stripped — a proxy reading the name as written
+            # would frame the request differently (request smuggling).
+            if not sep or not _FIELD_NAME.fullmatch(name):
                 raise _HttpError(400, f"malformed header line {line!r}")
-            name = name.strip().lower()
+            name = name.lower()
             if name == "content-length" and name in headers:
                 # RFC 9112 §6.3: conflicting framing is unrecoverable.
                 raise _HttpError(400, "repeated Content-Length")

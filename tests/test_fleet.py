@@ -22,7 +22,7 @@ from repro.serve import SegmentClient, ServeFleet, WorkerSpec, merge_worker_metr
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
-_SPEC = WorkerSpec(max_wait_seconds=0.002, max_batch_size=8)
+_SPEC = WorkerSpec(max_batch_size=8)
 
 
 def _fleet(workers=2, **kwargs):
@@ -212,7 +212,7 @@ def test_fleet_single_listener_fallback_serves(rng):
 def test_fleet_shares_one_disk_cache_and_restarts_warm(tmp_path, rng):
     image = _image(rng)
     expected = _expected_labels(image)
-    spec = WorkerSpec(max_wait_seconds=0.002, cache_dir=str(tmp_path / "l2"))
+    spec = WorkerSpec(cache_dir=str(tmp_path / "l2"))
     with _fleet(workers=2, spec=spec) as fleet:
         assert fleet.wait_ready(60)
         with SegmentClient("127.0.0.1", fleet.port, timeout=60) as client:
@@ -297,7 +297,6 @@ def test_fleet_shm_tier_survives_sigkill_and_never_leaks(tmp_path, rng):
     image_a, image_b = _image(rng), _image(rng)
     expected_a, expected_b = _expected_labels(image_a), _expected_labels(image_b)
     spec = WorkerSpec(
-        max_wait_seconds=0.002,
         cache_dir=str(tmp_path / "l2"),
         cache_entries=1,  # tiny L1: repeats must come from the shm ring
         shm_bytes=8 * 1024 * 1024,
@@ -340,7 +339,7 @@ def test_fleet_shm_tier_survives_sigkill_and_never_leaks(tmp_path, rng):
 
 def test_fleet_degrades_cleanly_when_shm_cannot_be_created(rng):
     """An unusable shm size downgrades the fleet instead of failing start."""
-    spec = WorkerSpec(max_wait_seconds=0.002, shm_bytes=128)  # < one slot
+    spec = WorkerSpec(shm_bytes=128)  # < one slot
     with _fleet(workers=2, spec=spec) as fleet:
         assert fleet.wait_ready(60)
         shm_doc = fleet.metrics()["fleet"]["shm"]

@@ -22,7 +22,7 @@ from repro.serve import SegmentClient, ServeFleet, WorkerSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
-_SPEC = WorkerSpec(max_wait_seconds=0.002, max_batch_size=8)
+_SPEC = WorkerSpec(max_batch_size=8)
 
 
 def _image(rng, side=14):

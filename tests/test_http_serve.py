@@ -154,7 +154,7 @@ def _raw(port, raw_bytes):
 def test_segment_raw_png_body_matches_pipeline_run(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _png_bytes(image),
             {"Content-Type": "application/octet-stream"},
@@ -171,7 +171,7 @@ def test_segment_raw_png_body_matches_pipeline_run(rng):
 def test_segment_npy_body_and_npy_accept_round_trip(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image).labels
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _npy_bytes(image),
             {"Content-Type": "application/x-npy", "Accept": "application/x-npy"},
@@ -193,7 +193,7 @@ def test_segment_json_envelope_with_priority_and_lane_accounting(rng):
             "client_id": "tenant-1",
         }
     ).encode("utf-8")
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", body, {"Content-Type": "application/json"}
         )
@@ -210,7 +210,7 @@ def test_segment_json_envelope_with_priority_and_lane_accounting(rng):
 def test_segment_client_round_trip_and_cache_hit(rng):
     image = _image(rng)
     expected = _engine().pipeline.run(image).labels
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
             cold = client.segment(image, priority="normal", client_id="c1")
             warm = client.segment(image, accept="npy")
@@ -225,7 +225,7 @@ def test_segment_client_round_trip_and_cache_hit(rng):
 
 def test_keep_alive_serves_multiple_requests_per_connection(rng):
     image = _image(rng)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         conn = http.client.HTTPConnection("127.0.0.1", box["port"], timeout=30)
         try:
             for _ in range(2):
@@ -280,9 +280,7 @@ def test_status_for_exception_table():
 
 def test_quota_exhaustion_returns_429_over_the_wire(rng):
     def factory():
-        return AsyncSegmentationService(
-            _engine(), max_wait_seconds=0.001, client_rate=0.001, client_burst=1
-        )
+        return AsyncSegmentationService(_engine(), client_rate=0.001, client_burst=1)
 
     with _serve(factory) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
@@ -294,7 +292,7 @@ def test_quota_exhaustion_returns_429_over_the_wire(rng):
 
 
 def test_expired_deadline_returns_504_over_the_wire(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with SegmentClient("127.0.0.1", box["port"]) as client:
             with pytest.raises(DeadlineExceededError):
                 client.segment(_image(rng), deadline_ms=0)
@@ -313,7 +311,7 @@ def test_expired_deadline_returns_504_over_the_wire(rng):
     ],
 )
 def test_malformed_bodies_return_400(rng, body, content_type):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", body, {"Content-Type": content_type}
         )
@@ -322,7 +320,7 @@ def test_malformed_bodies_return_400(rng, body, content_type):
 
 
 def test_bad_priority_and_bad_deadline_return_400(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, _ = _post(
             box["port"], "/v1/segment", _npy_bytes(_image(rng)),
             {"Content-Type": "application/x-npy", "X-Repro-Priority": "urgent"},
@@ -337,7 +335,7 @@ def test_bad_priority_and_bad_deadline_return_400(rng):
 
 def test_oversized_body_returns_413_without_reading_it(rng):
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory, max_body_bytes=1024) as box:
         big = _npy_bytes(np.zeros((64, 64, 3), dtype=np.uint8))
@@ -350,7 +348,7 @@ def test_oversized_body_returns_413_without_reading_it(rng):
 
 
 def test_unknown_route_404_wrong_method_405_missing_length_411(rng):
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, _ = _get(box["port"], "/nope")
         assert response.status == 404
         response, _ = _get(box["port"], "/v1/segment")
@@ -370,7 +368,7 @@ def test_expect_100_continue_is_answered_before_the_body(rng):
     """curl sends Expect: 100-continue for bodies over ~1 KiB and waits."""
     image = _image(rng)
     payload = _npy_bytes(image)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         with socket.create_connection(("127.0.0.1", box["port"]), timeout=30) as sock:
             head = (
                 f"POST /v1/segment HTTP/1.1\r\nHost: x\r\n"
@@ -400,7 +398,7 @@ def test_metrics_failure_maps_to_500_not_a_dropped_connection(rng):
 
 def test_get_with_a_body_keeps_keepalive_framing_synced(rng):
     """A body on a GET must be consumed, or it poisons the next request."""
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         conn = http.client.HTTPConnection("127.0.0.1", box["port"], timeout=30)
         try:
             conn.request("GET", "/healthz", body=b"hello")  # curl -X GET -d hello
@@ -454,9 +452,32 @@ def _segment_head(length_headers):
 def test_content_length_must_be_plain_digits(rng):
     body = _npy_bytes(_image(rng, (4, 4, 3)))
     length = "_".join(str(len(body)))  # int() accepts "1_7_6"; HTTP does not
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         head = _segment_head([f"Content-Length: {length}"])
         data, closed = _raw_exchange(box["port"], head + body)
+    assert _status_lines(data) == [400]
+    assert closed
+
+
+@pytest.mark.parametrize(
+    "length_line",
+    ["Content-Length : {}", " Content-Length: {}", "Content-Length\t: {}"],
+    ids=["space-before-colon", "leading-space", "tab-before-colon"],
+)
+def test_whitespace_in_a_field_name_is_rejected(rng, length_line):
+    body = _npy_bytes(_image(rng, (4, 4, 3)))
+    head = _segment_head([length_line.format(len(body))])
+    pipelined = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
+        data, closed = _raw_exchange(box["port"], head + body + pipelined)
+    assert _status_lines(data) == [400]  # RFC 9112 §5.1: reject, never strip
+    assert closed
+
+
+def test_a_field_name_must_be_a_token(rng):
+    request = b"GET /healthz HTTP/1.1\r\nHost: x\r\nX Foo: a\r\n\r\n"
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
+        data, closed = _raw_exchange(box["port"], request)
     assert _status_lines(data) == [400]
     assert closed
 
@@ -464,7 +485,7 @@ def test_content_length_must_be_plain_digits(rng):
 def test_repeated_content_length_is_rejected(rng):
     body = _npy_bytes(_image(rng, (4, 4, 3)))
     head = _segment_head(["Content-Length: 5", f"Content-Length: {len(body)}"])
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         data, closed = _raw_exchange(box["port"], head + body)
     assert _status_lines(data) == [400]
     assert closed
@@ -474,7 +495,7 @@ def test_transfer_encoding_is_refused_and_a_pipelined_request_is_not_smuggled(rn
     body = _npy_bytes(_image(rng, (4, 4, 3)))
     head = _segment_head(["Transfer-Encoding: chunked", f"Content-Length: {len(body)}"])
     smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         data, closed = _raw_exchange(box["port"], head + body + smuggled)
     assert _status_lines(data) == [501]  # one answer: the GET never ran
     assert closed
@@ -496,7 +517,7 @@ def test_decode_array_payload_rejects_non_image_arrays():
 # --------------------------------------------------------------------------- #
 def test_healthz_flips_to_draining_before_the_socket_closes(rng):
     image = _image(rng)
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _get(box["port"], "/healthz")
         assert response.status == 200
         assert json.loads(payload)["status"] == "ok"
@@ -535,7 +556,6 @@ def test_graceful_shutdown_drains_inflight_requests(rng):
     def factory():
         return AsyncSegmentationService(
             BatchSegmentationEngine(SlowSegmenter(delay=0.4), use_lut=False),
-            max_wait_seconds=0.001,
             cache=None,
         )
 
@@ -573,7 +593,7 @@ def test_stalled_midbody_client_cannot_wedge_shutdown(rng):
     import time
 
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory, drain_grace_seconds=0.5) as box:
         sock = socket.create_connection(("127.0.0.1", box["port"]), timeout=30)
@@ -604,9 +624,7 @@ def test_concurrent_clients_get_bit_identical_results(rng):
     reference = _engine()
     expected = [reference.pipeline.run(image).labels for image in images]
 
-    with _serve(
-        lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001, queue_size=256)
-    ) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine(), queue_size=256)) as box:
         failures = []
 
         def client_loop(worker_index):
@@ -643,7 +661,7 @@ def test_npy_response_bytes_are_exactly_np_save_output(rng):
     reference = io.BytesIO()
     np.save(reference, np.ascontiguousarray(expected), allow_pickle=False)
 
-    with _serve(lambda: AsyncSegmentationService(_engine(), max_wait_seconds=0.001)) as box:
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
         response, payload = _post(
             box["port"], "/v1/segment", _npy_bytes(image),
             {"Content-Type": "application/x-npy", "Accept": "application/x-npy"},
@@ -667,7 +685,7 @@ def test_client_reset_midresponse_is_counted_and_releases_inflight(rng):
     image = _image(rng, shape=(500, 500, 3))  # ~2 MB npy response >> buffers
 
     def factory():
-        return AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        return AsyncSegmentationService(_engine())
 
     with _serve(factory) as box:
         body = _npy_bytes(image)

@@ -174,7 +174,6 @@ def test_service_reports_adaptive_metrics_and_stays_bounded(rng):
         service = AsyncSegmentationService(
             _engine(),
             max_batch_size=4,
-            max_wait_seconds=0.001,
             cache=None,
             adaptive=True,
             adaptive_config=config,
@@ -218,7 +217,6 @@ def test_adaptive_results_stay_bit_identical_to_pipeline(rng):
         service = AsyncSegmentationService(
             _engine(),
             max_batch_size=2,
-            max_wait_seconds=0.0,
             cache=None,
             adaptive=True,
             adaptive_config=AdaptiveConfig(tick_seconds=0.001, max_batch_size=16),
@@ -238,7 +236,6 @@ def test_default_adaptive_corridor_respects_the_configured_max_batch(rng):
         service = AsyncSegmentationService(
             _engine(),
             max_batch_size=configured,
-            max_wait_seconds=0.0,
             cache=None,
             adaptive=True,
         )

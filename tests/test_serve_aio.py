@@ -1,6 +1,8 @@
 """Tests for the asyncio serving front end (``repro.serve.AsyncSegmentationService``)."""
 
 import asyncio
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from repro.base import BaseSegmenter
 from repro.core.rgb_segmenter import IQFTSegmenter
-from repro.engine import BatchSegmentationEngine
+from repro.engine import BatchSegmentationEngine, binarize_largest_background
 from repro.errors import (
     DeadlineExceededError,
     ParameterError,
@@ -16,7 +18,15 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.serve import AsyncSegmentationService, Priority, ResultCache, TokenBucket
+from repro.obs import Trace
+from repro.serve import (
+    AsyncSegmentationService,
+    DiskResultCache,
+    Priority,
+    ResultCache,
+    TokenBucket,
+    image_digest,
+)
 from repro.serve._aio import _AsyncRequest
 
 
@@ -67,7 +77,7 @@ def test_submit_matches_engine_and_serves_cache_hits(rng):
     expected = _engine().segment(image).labels
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             cold = await service.submit(image)
             warm = await service.submit(image)
             return cold, warm, service.metrics()
@@ -86,7 +96,7 @@ def test_submit_scores_against_ground_truth(rng):
     mask = (rng.random(image.shape[:2]) > 0.5).astype(np.int64)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             return await service.submit(image, ground_truth=mask)
 
     result = asyncio.run(scenario())
@@ -97,9 +107,7 @@ def test_map_preserves_order_and_coalesces(rng):
     images = [_image(rng, value=v) for v in (10, 10, 90, 10)]
 
     async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), cache=None, max_batch_size=8, max_wait_seconds=0.2
-        )
+        service = AsyncSegmentationService(_engine(), cache=None, max_batch_size=8)
         async with service:
             results = await service.map(images)
             return results, service.metrics()
@@ -116,7 +124,7 @@ def test_per_request_failures_stay_isolated(rng):
     bad = (rng.random((10, 10)) * 255).astype(np.uint8)  # 2-D input to an RGB method
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             good_task = asyncio.ensure_future(service.submit(good))
             bad_task = asyncio.ensure_future(service.submit(bad))
             result = await good_task
@@ -128,6 +136,115 @@ def test_per_request_failures_stay_isolated(rng):
     assert result is not None
     assert metrics["completed"] == 1
     assert metrics["failed"] == 1
+
+
+def test_the_cached_mask_is_uint8_and_hits_widen_it_back(rng):
+    image = _image(rng)
+    cache = ResultCache(max_entries=4)
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine(), cache=cache) as service:
+            cold = await service.submit(image)
+            warm = await service.submit(image)
+            return cold, warm, cache.get((image_digest(image), service._config_digest))
+
+    cold, warm, (_, cached_mask) = asyncio.run(scenario())
+    assert cached_mask.dtype == np.uint8
+    assert warm.segmentation.extras["cache_hit"] is True
+    assert cold.binary.dtype == warm.binary.dtype == np.int64
+    assert np.array_equal(warm.binary, cold.binary)
+    assert np.array_equal(cold.binary, binarize_largest_background(cold.labels))
+
+
+def test_an_int64_mask_disk_entry_still_answers(rng, tmp_path):
+    """Disk entries written before the uint8 mask hold an int64 one."""
+    image = _image(rng)
+    segmentation = _engine().segment(image)
+    mask = binarize_largest_background(segmentation.labels)
+    assert mask.dtype == np.int64
+    disk = DiskResultCache(str(tmp_path / "l2"))
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine(), cache=disk) as service:
+            disk.put((image_digest(image), service._config_digest), (segmentation, mask))
+            return await service.submit(image)
+
+    result = asyncio.run(scenario())
+    assert result.segmentation.extras["cache_hit"] is True
+    assert result.binary.dtype == np.int64
+    assert np.array_equal(result.binary, mask)
+    assert np.array_equal(result.labels, segmentation.labels)
+
+
+# --------------------------------------------------------------------------- #
+# work-conserving batching
+# --------------------------------------------------------------------------- #
+def _assemble_span(trace):
+    (span,) = [span for span in trace.spans if span[0] == "batch.assemble"]
+    _, _, start, end, fields = span
+    return end - start, fields["batch_size"]
+
+
+def test_a_lone_request_on_an_idle_service_is_not_held_for_a_batch(rng):
+    trace = Trace("lone")
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine(), cache=None) as service:
+            await service.submit(_image(rng), trace=trace)
+
+    asyncio.run(scenario())
+    seconds, batch_size = _assemble_span(trace)
+    assert batch_size == 1
+    assert seconds < 1e-3
+
+
+def test_requests_arriving_during_a_batch_form_the_next_batches():
+    segmenter = GatedSegmenter()
+    engine = BatchSegmentationEngine(segmenter)
+    first = Trace("first")
+    queued = [Trace(f"queued-{index}") for index in range(6)]
+
+    async def scenario():
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=4)
+        blocker = asyncio.ensure_future(service.submit(_image(None, value=0), trace=first))
+        await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
+        tasks = [
+            asyncio.ensure_future(service.submit(_image(None, value=index + 1), trace=trace))
+            for index, trace in enumerate(queued)
+        ]
+        await asyncio.sleep(0.05)
+        depth = service.metrics()["queue_depth"]  # all six wait behind the gate
+        segmenter.gate.set()
+        await asyncio.gather(blocker, *tasks)
+        await service.aclose()
+        return depth, service.metrics()
+
+    depth, metrics = asyncio.run(scenario())
+    assert depth == 6
+    assert metrics["batches"] == 3
+    spans = [_assemble_span(trace) for trace in [first, *queued]]
+    assert [batch_size for _, batch_size in spans] == [1, 4, 4, 4, 4, 2, 2]
+    assert all(seconds < 1e-3 for seconds, _ in spans)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--http", "127.0.0.1:0", "--max-wait", "0.01"],
+        ["serve", "-", "--async", "--max-wait", "0.01"],
+    ],
+    ids=["http", "async"],
+)
+def test_max_wait_is_refused_where_batching_does_not_wait(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: --max-wait"), proc.stderr
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +321,7 @@ def test_lane_metrics_report_depth_and_completions(rng):
     image = _image(rng)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             await service.submit(image, priority="high")
             await service.submit(image, priority=Priority.LOW)
             return service.metrics()
@@ -239,7 +356,7 @@ def test_admission_control_uses_the_service_time_estimate(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine())
         async with service:
             await service.submit(image)  # calibrate the EWMA
             assert service.estimate_completion_seconds(Priority.NORMAL) > 0.0
@@ -259,9 +376,7 @@ def test_queued_requests_past_deadline_are_shed(rng):
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1)
         blocker = asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         # queued behind the gated batch with a deadline that will expire there
@@ -319,9 +434,7 @@ def test_per_client_quota_rejects_only_the_noisy_client(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            _engine(), max_wait_seconds=0.001, client_rate=0.001, client_burst=2
-        )
+        service = AsyncSegmentationService(_engine(), client_rate=0.001, client_burst=2)
         async with service:
             await service.submit(image, client_id="noisy")
             await service.submit(image, client_id="noisy")
@@ -341,7 +454,7 @@ def test_full_queues_raise_overloaded(rng):
 
     async def scenario():
         service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0, queue_size=2
+            engine, cache=None, max_batch_size=1, queue_size=2
         )
         tasks = [asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))]
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
@@ -374,7 +487,7 @@ def test_aclose_drains_queued_work(rng):
     images = [_image(rng, value=v) for v in range(8)]
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_batch_size=2, max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine(), max_batch_size=2)
         tasks = [asyncio.ensure_future(service.submit(image)) for image in images]
         await asyncio.sleep(0)  # let the submits enqueue
         await service.aclose(drain=True)
@@ -390,9 +503,7 @@ def test_aclose_without_drain_fails_queued_requests(rng):
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1)
         running = asyncio.ensure_future(service.submit(_image(np.random.default_rng(0))))
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         queued = [
@@ -451,7 +562,7 @@ def test_describe_and_metrics_shape(rng):
     image = _image(rng)
 
     async def scenario():
-        async with AsyncSegmentationService(_engine(), max_wait_seconds=0.001) as service:
+        async with AsyncSegmentationService(_engine()) as service:
             await service.submit(image)
             return service.describe(), service.metrics()
 
@@ -471,9 +582,7 @@ def test_in_flight_counts_admitted_requests_until_they_settle():
     engine = BatchSegmentationEngine(segmenter)
 
     async def scenario():
-        service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=1, max_wait_seconds=0.0
-        )
+        service = AsyncSegmentationService(engine, cache=None, max_batch_size=1)
         blocker = asyncio.ensure_future(service.submit(_image(None, value=1)))
         await asyncio.get_running_loop().run_in_executor(None, segmenter.entered.wait, 10.0)
         # Queued behind the gated batch: one expires there, one is cancelled
@@ -509,7 +618,7 @@ def test_begin_drain_rejects_new_submits_but_finishes_queued_work(rng):
     image = _image(rng)
 
     async def scenario():
-        service = AsyncSegmentationService(_engine(), max_wait_seconds=0.001)
+        service = AsyncSegmentationService(_engine())
         async with service:
             queued = asyncio.ensure_future(service.submit(image))
             await asyncio.sleep(0)  # let the submit pass its closed check

@@ -77,7 +77,6 @@ def test_stress_no_lost_futures_and_bit_identical_results(rng):
         service = AsyncSegmentationService(
             engine,
             max_batch_size=8,
-            max_wait_seconds=0.002,
             queue_size=512,
             client_rate=500.0,
             client_burst=50,
@@ -125,7 +124,7 @@ def test_stress_cancelled_awaiters_do_not_corrupt_accounting(rng):
     async def scenario():
         engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
         service = AsyncSegmentationService(
-            engine, cache=None, max_batch_size=4, max_wait_seconds=0.01, queue_size=64
+            engine, cache=None, max_batch_size=4, queue_size=64
         )
         async with service:
             tasks = [

@@ -38,7 +38,6 @@ def _npy_bytes(image):
 
 
 def _service(**kwargs):
-    kwargs.setdefault("max_wait_seconds", 0.001)
     kwargs.setdefault("delta_tile_shape", (8, 8))
     return AsyncSegmentationService(_engine(), **kwargs)
 

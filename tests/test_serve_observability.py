@@ -39,7 +39,6 @@ def _image(rng, shape=(10, 12, 3)):
 
 
 def _service(sample_rate=1.0, **kwargs):
-    kwargs.setdefault("max_wait_seconds", 0.001)
     return AsyncSegmentationService(
         _engine(), tracer=Tracer(sample_rate=sample_rate), **kwargs
     )
@@ -225,7 +224,6 @@ def test_http_metrics_prometheus_format_is_valid_exposition(rng):
 def test_three_worker_fleet_trace_round_trip(tmp_path, rng):
     image = _image(rng, shape=(14, 14, 3))
     spec = WorkerSpec(
-        max_wait_seconds=0.002,
         cache_dir=str(tmp_path / "l2"),
         trace_sample_rate=1.0,
     )
