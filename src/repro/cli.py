@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     met = sub.add_parser(
         "metrics",
-        help="scrape a running /v1/metrics endpoint (worker or fleet) and "
-        "print a compact human summary",
+        help="scrape one server's /v1/metrics endpoint (on a --workers fleet, "
+        "whichever worker accepts the connection) and print a compact human summary",
     )
     met.add_argument("address", metavar="HOST:PORT", help="the serving endpoint to scrape")
     met.add_argument("--timeout", type=float, default=10.0, help="scrape timeout in seconds")
@@ -698,19 +698,14 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
             except (ValueError, OSError):
                 pass
 
-    finals = metrics.get("workers", [])
-    http_requests = sum(int((final.get("http") or {}).get("requests", 0)) for final in finals)
-    responses: dict = {}
-    for final in finals:
-        for code, count in ((final.get("http") or {}).get("responses", {}) or {}).items():
-            responses[code] = responses.get(code, 0) + int(count)
+    http = metrics.get("http") or {}
     report = {
         "schema": "repro-http-serve-report/v1",
         "method": spec.method,
         "parameters": {"theta": theta_used, "seed": spec.seed},
         "fleet": metrics.get("fleet", {}),
         "metrics": metrics,
-        "http": {"requests": http_requests, "responses": responses, "draining": True},
+        "http": http,
     }
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
@@ -720,7 +715,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
         print(payload)
     print(
         f"http-serve: fleet served {report['metrics'].get('completed', 0)} request(s), "
-        f"{http_requests} HTTP request(s) total, "
+        f"{http.get('requests', 0)} HTTP request(s) total, "
         f"{report['fleet'].get('restarts', 0)} restart(s)"
         + (f" -> {args.report}" if args.report else ""),
         file=sys.stderr,
@@ -905,11 +900,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _format_metrics_table(snapshot: dict) -> str:
-    """A compact human summary of one ``/v1/metrics`` snapshot.
+    """A compact human summary of one server's ``/v1/metrics`` snapshot.
 
-    Works on a single worker's snapshot and on a fleet's merged document
-    alike, and tolerates empty recorders: percentiles a fresh service has
-    not earned yet render as ``n/a``, never as 0 or NaN.
+    Tolerates empty recorders: percentiles a fresh service has not earned
+    yet render as ``n/a``, never as 0 or NaN.
     """
 
     def num(value) -> int:
@@ -929,23 +923,14 @@ def _format_metrics_table(snapshot: dict) -> str:
         except (TypeError, ValueError):
             return "n/a"
 
-    lines = []
-    fleet = snapshot.get("fleet")
-    if isinstance(fleet, dict):
-        lines.append(
-            "fleet        "
-            f"ready={num(fleet.get('ready'))}/{num(fleet.get('workers'))} "
-            f"restarts={num(fleet.get('restarts'))} "
-            f"scrape_failures={num(snapshot.get('scrape_failures', fleet.get('scrape_failures')))}"
-        )
-    lines.append(
+    lines = [
         "requests     "
         f"completed={num(snapshot.get('completed'))} "
         f"failed={num(snapshot.get('failed'))} "
         f"cancelled={num(snapshot.get('cancelled'))} "
         f"coalesced={num(snapshot.get('coalesced'))} "
         f"queue_depth={num(snapshot.get('queue_depth'))}"
-    )
+    ]
     try:
         throughput = float(snapshot.get("throughput_rps") or 0.0)
         uptime = float(snapshot.get("uptime_seconds") or 0.0)
@@ -996,17 +981,12 @@ def _format_metrics_table(snapshot: dict) -> str:
         )
     adaptive = snapshot.get("adaptive")
     if isinstance(adaptive, dict):
-        batch = adaptive.get("max_batch_size")
-        if isinstance(batch, dict):
-            batch_text = f"{num(batch.get('min'))}..{num(batch.get('max'))}"
-        else:
-            batch_text = str(num(batch))
         lines.append(
             "adaptive     "
             f"ticks={num(adaptive.get('ticks'))} "
             f"batch_adjustments={num(adaptive.get('batch_adjustments'))} "
             f"weight_adjustments={num(adaptive.get('weight_adjustments'))} "
-            f"batch_size={batch_text}"
+            f"batch_size={num(adaptive.get('max_batch_size'))}"
         )
     else:
         lines.append("adaptive     off")

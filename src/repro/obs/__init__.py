@@ -1,6 +1,6 @@
-"""Observability: request tracing, structured logging, Prometheus exposition.
+"""Observability: request tracing, structured logging, the metrics schema.
 
-Three zero-dependency building blocks threaded through the serving stack:
+Four zero-dependency building blocks threaded through the serving stack:
 
 * :mod:`repro.obs.trace` — a cheap per-request span recorder (plain tuples
   appended to a list) with a bounded flight-recorder ring of completed
@@ -8,9 +8,13 @@ Three zero-dependency building blocks threaded through the serving stack:
 * :mod:`repro.obs.log` — a JSON-lines / key=value structured logger shared
   by the HTTP servers, the async service, the fleet supervisor, and the
   spool driver.
-* :mod:`repro.obs.prom` — renders the existing ``metrics()`` tree (counters,
-  gauges, and the mergeable latency sketches) in Prometheus text exposition
-  format, plus a small validator used by CI.
+* :mod:`repro.obs.schema` — one table row per leaf of the ``metrics()``
+  tree: its path, Prometheus family and fleet merge rule.  The exposition
+  and the fleet merge (:func:`repro.serve.merge_worker_metrics`) are both
+  walks over it.
+* :mod:`repro.obs.prom` — renders a ``metrics()`` tree (counters, gauges,
+  and the mergeable latency sketches) in Prometheus text exposition format
+  by that table, plus a small validator used by CI.
 """
 
 from .log import StructuredLogger, configure_logging, get_logger

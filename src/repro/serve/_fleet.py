@@ -41,12 +41,17 @@ The supervisor owns the worker lifecycle:
 Observability spans the fleet: every worker also runs a loopback *admin*
 server (an ordinary ``HttpSegmentationServer`` on ``127.0.0.1:0``) whose
 ``/v1/metrics`` adds the worker identity and ingress HTTP counters.
-:meth:`ServeFleet.metrics` scrapes each worker and merges the snapshots —
-counters sum, shared-L2 gauges take the max, and latency percentiles are
-re-derived from the workers' mergeable histogram sketches
-(:func:`repro.metrics.runtime.merge_sketches`) rather than averaged, which
-would be statistically meaningless.  :meth:`ServeFleet.health` reports the
-fleet healthy while at least one worker is accepting connections.
+:meth:`ServeFleet.metrics` scrapes each worker and merges the snapshots by
+the metric table in :mod:`repro.obs.schema` — counters sum, shared-L2
+gauges take the max, and latency percentiles are re-derived from the
+workers' mergeable histogram sketches rather than averaged, which would be
+statistically meaningless.  The public port reaches one arbitrary worker,
+so ``GET /v1/metrics`` and ``GET /v1/trace/{id}`` there answer for that
+worker alone; the fleet-wide view is :meth:`ServeFleet.metrics`,
+:meth:`ServeFleet.prometheus`, :meth:`ServeFleet.trace` and the drain
+report built from :meth:`ServeFleet.final_metrics`.
+:meth:`ServeFleet.health` reports the fleet healthy while at least one
+worker is accepting connections.
 
 CLI: ``repro-segment serve --http HOST:PORT --workers N`` (composes with
 ``--cache-dir``, ``--lane-weights``, ``--adaptive``).
@@ -66,8 +71,8 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ParameterError, ServeError
-from ..metrics.runtime import merge_sketches, summarize_sketch
 from ..obs import get_logger
+from ..obs.schema import as_float, merge_worker_metrics
 from ._http import DEFAULT_MAX_BODY_BYTES
 
 __all__ = ["WorkerSpec", "ServeFleet", "merge_worker_metrics"]
@@ -376,237 +381,6 @@ def _worker_main(  # pragma: no cover - runs in spawned worker processes
             conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-
-
-# --------------------------------------------------------------------------- #
-# metrics aggregation
-# --------------------------------------------------------------------------- #
-_SUM_CACHE_KEYS = (
-    "hits",
-    "hit_bytes",
-    "misses",
-    "stores",
-    "store_skips",
-    "evictions",
-    "evicted_bytes",
-    "expirations",
-    "corrupt_dropped",
-    "torn_reads",
-    "errors",
-)
-#: Gauge-like cache keys: workers sharing one L2 directory (or one shm
-#: segment) each report the same footprint, so summing would multiply it by
-#: the fleet size.
-_MAX_CACHE_KEYS = (
-    "currsize",
-    "current_bytes",
-    "maxsize",
-    "max_entries",
-    "max_bytes",
-    "slot_count",
-    "slot_bytes",
-    "size_bytes",
-)
-
-
-def _as_int(value: Any, default: int = 0) -> int:
-    """Tolerant int coercion: a malformed admin snapshot degrades to 0."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return default
-
-
-def _as_float(value: Any, default: float = 0.0) -> float:
-    """Tolerant float coercion for partially-corrupt worker snapshots."""
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        return default
-    return result if result == result else default  # NaN → default
-
-
-def _merge_sketches_safe(sketches: List[Any]) -> Dict[str, Any]:
-    """Merge latency sketches, dropping malformed/disjoint ones wholesale.
-
-    A worker mid-upgrade (different bucket bounds) or a truncated snapshot
-    must degrade the fleet percentile to "unknown" — rendered as ``None``
-    by :func:`~repro.metrics.runtime.summarize_sketch` — never crash the
-    supervisor's scrape.
-    """
-    valid = [s for s in sketches if isinstance(s, dict) and s.get("bounds")]
-    try:
-        return merge_sketches(valid)
-    except (ValueError, TypeError):
-        return merge_sketches([])
-
-
-def _merge_cache_tier(tiers: List[Any]) -> Dict[str, Any]:
-    tiers = [tier for tier in tiers if isinstance(tier, dict)]
-    merged: Dict[str, Any] = {}
-    for key in _SUM_CACHE_KEYS:
-        if any(key in tier for tier in tiers):
-            merged[key] = sum(_as_int(tier.get(key, 0)) for tier in tiers)
-    for key in _MAX_CACHE_KEYS:
-        if any(key in tier for tier in tiers):
-            merged[key] = max(_as_int(tier.get(key, 0)) for tier in tiers)
-    lookups = merged.get("hits", 0) + merged.get("misses", 0)
-    merged["hit_rate"] = merged.get("hits", 0) / lookups if lookups else 0.0
-    return merged
-
-
-def _merge_cache(stats: List[Optional[Dict[str, Any]]]) -> Optional[Dict[str, Any]]:
-    present = [s for s in stats if isinstance(s, dict)]
-    if not present:
-        return None
-    if all("l1" in s and "l2" in s for s in present):
-        l1 = _merge_cache_tier([s["l1"] for s in present])
-        l2 = _merge_cache_tier([s["l2"] for s in present])
-        l1_lookups = l1.get("hits", 0) + l1.get("misses", 0)
-        total_hits = l1.get("hits", 0) + l2.get("hits", 0)
-        merged = {
-            "l1": l1,
-            "l2": l2,
-            "l1_hit_rate": l1.get("hit_rate", 0.0),
-            "l2_hit_rate": l2.get("hit_rate", 0.0),
-        }
-        shm_docs = [s["shm"] for s in present if isinstance(s.get("shm"), dict)]
-        if shm_docs:
-            shm = _merge_cache_tier(shm_docs)
-            merged["shm"] = shm
-            merged["shm_hit_rate"] = shm.get("hit_rate", 0.0)
-            total_hits += shm.get("hits", 0)
-        merged["hit_rate"] = total_hits / l1_lookups if l1_lookups else 0.0
-        return merged
-    return _merge_cache_tier(present)
-
-
-def merge_worker_metrics(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fleet-wide view from per-worker ``service.metrics()`` snapshots.
-
-    Counters, queue depth and in-flight sum; throughput sums (the workers run
-    concurrently); uptime takes the max; latency percentiles are recomputed
-    from the merged histogram sketches rather than averaged.  Cache stats
-    merge per tier, with shared-L2 footprint gauges taking the max across
-    workers (they all describe the same directory).  Lane ``weight`` is
-    reported as the max across workers — under the adaptive control loop
-    each worker tunes its own weights, so a single number is a summary, not
-    a shared setting.
-    """
-    # A worker that answered its admin scrape with something other than a
-    # metrics object (truncated JSON parsed to a list, an error document)
-    # is skipped wholesale — the caller's scrape-failure counter is the
-    # place that kind of degradation is reported, not an exception here.
-    snapshots = [s for s in snapshots if isinstance(s, dict)]
-    if not snapshots:
-        return {"workers_scraped": 0}
-    merged: Dict[str, Any] = {"workers_scraped": len(snapshots)}
-    for key in (
-        "requests",
-        "completed",
-        "failed",
-        "cancelled",
-        "coalesced",
-        "in_flight",
-        "quota_rejections",
-        "queue_depth",
-        "batches",
-    ):
-        merged[key] = sum(_as_int(s.get(key, 0)) for s in snapshots)
-    sheds = [s.get("shed") for s in snapshots]
-    sheds = [shed for shed in sheds if isinstance(shed, dict)]
-    merged["shed"] = {
-        "admission": sum(_as_int(shed.get("admission", 0)) for shed in sheds),
-        "expired": sum(_as_int(shed.get("expired", 0)) for shed in sheds),
-    }
-    merged["uptime_seconds"] = max(_as_float(s.get("uptime_seconds", 0.0)) for s in snapshots)
-    merged["throughput_rps"] = sum(_as_float(s.get("throughput_rps", 0.0)) for s in snapshots)
-    total_items = sum(
-        _as_float(s.get("mean_batch_size", 0.0)) * _as_int(s.get("batches", 0))
-        for s in snapshots
-    )
-    merged["mean_batch_size"] = total_items / merged["batches"] if merged["batches"] else 0.0
-    ewmas = [_as_float(s.get("ewma_request_seconds", 0.0)) for s in snapshots]
-    calibrated = [value for value in ewmas if value > 0.0]
-    merged["ewma_request_seconds"] = sum(calibrated) / len(calibrated) if calibrated else 0.0
-
-    sketch = _merge_sketches_safe([s.get("latency_sketch") for s in snapshots])
-    merged["latency_sketch"] = sketch
-    merged["latency_seconds"] = summarize_sketch(sketch)
-
-    lanes: Dict[str, Dict[str, Any]] = {}
-    lane_maps = [s.get("lanes") for s in snapshots]
-    lane_maps = [lanes_doc for lanes_doc in lane_maps if isinstance(lanes_doc, dict)]
-    lane_names = {name for lanes_doc in lane_maps for name in lanes_doc}
-    for name in sorted(lane_names):
-        per_worker = [lanes_doc.get(name) for lanes_doc in lane_maps]
-        per_worker = [lane for lane in per_worker if isinstance(lane, dict)]
-        lane_sketch = _merge_sketches_safe([lane.get("latency_sketch") for lane in per_worker])
-        lane_deltas = [lane.get("delta") for lane in per_worker]
-        lane_deltas = [d for d in lane_deltas if isinstance(d, dict)]
-        lanes[name] = {
-            "depth": sum(_as_int(lane.get("depth", 0)) for lane in per_worker),
-            "submitted": sum(_as_int(lane.get("submitted", 0)) for lane in per_worker),
-            "completed": sum(_as_int(lane.get("completed", 0)) for lane in per_worker),
-            "shed_admission": sum(_as_int(lane.get("shed_admission", 0)) for lane in per_worker),
-            "shed_expired": sum(_as_int(lane.get("shed_expired", 0)) for lane in per_worker),
-            "weight": max((_as_int(lane.get("weight", 0)) for lane in per_worker), default=0),
-            "latency_seconds": summarize_sketch(lane_sketch),
-            "latency_sketch": lane_sketch,
-            "delta": {
-                key: sum(_as_int(d.get(key, 0)) for d in lane_deltas)
-                for key in ("frames", "tiles_reused", "tiles_recomputed")
-            },
-        }
-    merged["lanes"] = lanes
-
-    adaptive = [s.get("adaptive") for s in snapshots if isinstance(s.get("adaptive"), dict)]
-    if adaptive:
-        merged["adaptive"] = {
-            "enabled": True,
-            "ticks": sum(_as_int(a.get("ticks", 0)) for a in adaptive),
-            "batch_adjustments": sum(_as_int(a.get("batch_adjustments", 0)) for a in adaptive),
-            "weight_adjustments": sum(_as_int(a.get("weight_adjustments", 0)) for a in adaptive),
-            "max_batch_size": {
-                "min": min(_as_int(a.get("max_batch_size", 0)) for a in adaptive),
-                "max": max(_as_int(a.get("max_batch_size", 0)) for a in adaptive),
-            },
-        }
-    else:
-        merged["adaptive"] = None
-    deltas = [s.get("delta") for s in snapshots if isinstance(s.get("delta"), dict)]
-    if deltas:
-        tiles_reused = sum(_as_int(d.get("tiles_reused", 0)) for d in deltas)
-        tiles_recomputed = sum(_as_int(d.get("tiles_recomputed", 0)) for d in deltas)
-        tiles = tiles_reused + tiles_recomputed
-        merged["delta"] = {
-            "enabled": True,
-            "supported": any(bool(d.get("supported")) for d in deltas),
-            "streams": sum(_as_int(d.get("streams", 0)) for d in deltas),
-            "frames": sum(_as_int(d.get("frames", 0)) for d in deltas),
-            "tiles_reused": tiles_reused,
-            "tiles_recomputed": tiles_recomputed,
-            "reuse_ratio": tiles_reused / tiles if tiles else 0.0,
-        }
-    else:
-        merged["delta"] = None
-    # Active backends across the fleet: a homogeneous fleet reports one name,
-    # a mixed fleet all of them (answers are identical either way — integer
-    # fast paths are bit-exact on every backend).
-    merged["backends"] = sorted({str(s["backend"]) for s in snapshots if s.get("backend")})
-    merged["cache"] = _merge_cache([s.get("cache") for s in snapshots])
-    trace_docs = [s.get("trace") for s in snapshots if isinstance(s.get("trace"), dict)]
-    if trace_docs:
-        merged["trace"] = {
-            key: sum(_as_int(t.get(key, 0)) for t in trace_docs)
-            for key in ("started", "sampled_out", "recorded", "retained")
-        }
-    exemplars = [s.get("latency_exemplar") for s in snapshots]
-    exemplars = [e for e in exemplars if isinstance(e, dict) and e.get("trace_id")]
-    merged["latency_exemplar"] = (
-        max(exemplars, key=lambda e: _as_float(e.get("seconds", 0.0))) if exemplars else None
-    )
-    return merged
 
 
 # --------------------------------------------------------------------------- #
@@ -1022,9 +796,10 @@ class ServeFleet:
     def metrics(self) -> Dict[str, Any]:
         """Aggregated fleet metrics: scrape every ready worker and merge.
 
-        Returns the merged ``service.metrics()`` document (counters summed,
-        percentiles re-derived from merged sketches) plus a ``fleet``
-        section and the raw per-worker snapshots under ``workers``.
+        Returns the merged ``service.metrics()`` document (see
+        :func:`merge_worker_metrics`), with the workers' ingress HTTP
+        counters merged under ``http``, plus a ``fleet`` section and the raw
+        per-worker snapshots under ``workers``.
         """
         per_worker: List[Dict[str, Any]] = []
         snapshots: List[Dict[str, Any]] = []
@@ -1038,7 +813,7 @@ class ServeFleet:
             per_worker.append(
                 {"worker": worker_info, "http": ingress_http, "metrics": snapshot}
             )
-            snapshots.append(snapshot)
+            snapshots.append({**snapshot, "http": ingress_http})
         merged = merge_worker_metrics(snapshots)
         merged["scrape_failures"] = self._scrape_failures
         merged["fleet"] = self.describe_fleet()
@@ -1086,7 +861,7 @@ class ServeFleet:
                 self._count_scrape_failure(handle, type(exc).__name__)
                 continue
             collected.extend(doc for doc in documents if isinstance(doc, dict))
-        collected.sort(key=lambda doc: _as_float(doc.get("duration_seconds", 0.0)), reverse=True)
+        collected.sort(key=lambda doc: as_float(doc.get("duration_seconds")), reverse=True)
         return collected[: max(int(slowest), 0)]
 
     def final_metrics(self) -> Dict[str, Any]:
@@ -1094,13 +869,18 @@ class ServeFleet:
 
         Only workers that exited cleanly (SIGTERM drain) report one; a
         SIGKILLed worker's counters die with it and are visible only in
-        earlier live scrapes.
+        earlier live scrapes.  Each final report's ingress HTTP counters
+        merge under ``http``, as in :meth:`metrics`.
         """
         with self._lock:
             finals = [
                 handle.final for handle in self._handles.values() if handle.final is not None
             ]
-        snapshots = [final["metrics"] for final in finals if "metrics" in final]
+        snapshots = [
+            {**final["metrics"], "http": final.get("http")}
+            for final in finals
+            if "metrics" in final
+        ]
         merged = merge_worker_metrics(snapshots)
         merged["fleet"] = self.describe_fleet()
         merged["workers"] = finals

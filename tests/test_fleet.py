@@ -162,6 +162,8 @@ def test_fleet_serves_bit_identical_answers_and_aggregates_metrics(rng):
         assert live["workers_scraped"] == 2
         assert live["completed"] == 4
         assert live["fleet"]["ready"] == 2
+        assert live["http"]["responses"] == {"200": 4}
+        assert "repro_http_requests_total" in fleet.prometheus()
         fleet.shutdown(drain=True)
         final = fleet.final_metrics()
     assert final["completed"] == 4

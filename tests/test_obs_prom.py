@@ -9,6 +9,8 @@ import numpy as np
 from repro.metrics.runtime import LatencyRecorder
 from repro.obs import render_prometheus, validate_exposition
 from repro.obs.prom import main
+from repro.obs.schema import METRICS, leaves
+from repro.serve import merge_worker_metrics
 
 
 def _metrics():
@@ -55,7 +57,7 @@ def _metrics():
         "latency_exemplar": {"trace_id": "deadbeefdeadbeef", "seconds": 0.210},
         "cache": {
             "l1": {"hits": 3, "misses": 1, "currsize": 2, "maxsize": 256, "hit_bytes": 1024},
-            "l2": {"hits": 1, "misses": 3, "entries": 4, "size_bytes": 4096},
+            "l2": {"hits": 1, "misses": 3, "currsize": 4, "size_bytes": 4096},
         },
         "trace": {"started": 4, "recorded": 4, "sampled_out": 0, "retained": 4},
         "http": {
@@ -218,6 +220,44 @@ def test_every_numeric_leaf_of_a_live_snapshot_is_exported(tmp_path):
         if not any(line.endswith(f" {sentinel}") for line in samples):
             unexported.append(dotted)
     assert unexported == []
+
+
+def _families(text):
+    return {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")}
+
+
+def test_fleet_merge_exports_every_family_a_worker_exports(tmp_path):
+    snapshot = _live_snapshot(tmp_path)
+    merged = merge_worker_metrics([snapshot, snapshot])
+    missing = _families(render_prometheus(snapshot)) - _families(render_prometheus(merged))
+    assert missing == set()
+
+
+async def _answered_http_metrics():
+    """``http_metrics()`` of a server that has answered one request."""
+    from repro import BatchSegmentationEngine, IQFTSegmenter
+    from repro.serve import AsyncSegmentationService, HttpSegmentationServer
+
+    service = AsyncSegmentationService(BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi)))
+    server = HttpSegmentationServer(service, port=0)
+    async with service:
+        await server.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        await server.aclose(drain=True, close_service=False)
+    return server.http_metrics()
+
+
+def test_every_table_row_matches_a_live_or_merged_leaf(tmp_path):
+    snapshot = {**_live_snapshot(tmp_path), "http": asyncio.run(_answered_http_metrics())}
+    assert snapshot["http"]["responses"]
+    # ServeFleet.metrics() adds the supervisor's own scrape-failure count.
+    fleet = {**merge_worker_metrics([snapshot, snapshot]), "scrape_failures": 0}
+    matched = {row.path for row, *_ in leaves(snapshot) + leaves(fleet) if row is not None}
+    assert [row.path for row in METRICS if row.path not in matched] == []
 
 
 # --------------------------------------------------------------------------- #

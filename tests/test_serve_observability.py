@@ -303,16 +303,15 @@ def test_format_metrics_table_renders_fleet_lanes_and_exemplar():
                                "shed_expired": 0, "weight": 4,
                                "latency_seconds": {"p99": 0.050}}},
             "adaptive": {"ticks": 7, "batch_adjustments": 1, "weight_adjustments": 2,
-                         "max_batch_size": {"min": 4, "max": 16}},
+                         "max_batch_size": 16},
             "trace": {"recorded": 3, "retained": 3, "sampled_out": 0},
             "latency_exemplar": {"trace_id": "deadbeefdeadbeef", "seconds": 0.051},
         }
     )
-    assert "fleet        ready=3/3 restarts=1 scrape_failures=2" in table
     assert "latency      p50=10.00ms p99=50.00ms" in table
     assert "cache hits   l1=50% l2=25% overall=40%" in table
     assert "lane high    depth=0 completed=10 shed=1 weight=4 p99=50.00ms" in table
-    assert "batch_size=4..16" in table
+    assert "batch_size=16" in table
     assert "traces       recorded=3 retained=3 sampled_out=0" in table
     assert "slowest      trace_id=deadbeefdeadbeef at 51.00ms" in table
 
