@@ -4,11 +4,13 @@ Three ways of answering the same 64-image workload:
 
 1. **serial loop** — ``SegmentationPipeline.run`` per image, the pre-engine
    baseline (matrix path, no batching, no caching);
-2. **service, cold** — requests submitted through the micro-batching
-   :class:`repro.serve.SegmentationService` with an empty result cache (the
-   engine's exact LUT fast paths + coalescing, but every image computed);
+2. **service, cold** — ``await AsyncSegmentationService.map`` over the
+   micro-batching :class:`repro.serve.AsyncSegmentationService` with an
+   empty result cache (the engine's exact LUT fast paths + coalescing, but
+   every image computed);
 3. **service, warm** — the same requests again: every one is answered from
-   the content-addressed cache without touching the engine.
+   the content-addressed cache, on the event loop, without touching the
+   engine.
 
 Labels must be bit-identical across all three paths in every mode — that is
 the exactness contract of the engine fast paths and of content-addressed
@@ -17,6 +19,7 @@ the acceptance shape: cold service throughput at least matches the serial
 loop, and the warm pass is ≥ 10× faster than the cold one.
 """
 
+import asyncio
 import time
 
 import numpy as np
@@ -25,7 +28,7 @@ import pytest
 from repro import BatchSegmentationEngine, IQFTSegmenter, SegmentationPipeline
 from repro.core.lut import clear_lut_cache
 from repro.metrics.report import format_table
-from repro.serve import ResultCache, SegmentationService
+from repro.serve import AsyncSegmentationService, ResultCache
 
 _THETA = np.pi
 
@@ -61,22 +64,25 @@ def test_serve_throughput_vs_serial_and_warm_cache(rng, smoke_mode, emit_result)
     serial_time = time.perf_counter() - start
 
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=_THETA))
-    service = SegmentationService(
+    service = AsyncSegmentationService(
         engine,
         max_batch_size=16,
-        max_wait_seconds=0.002,
         queue_size=2 * count,
         cache=ResultCache(max_entries=2 * count),
     )
-    with service:
-        start = time.perf_counter()
-        cold_results = service.map(images)
-        cold_time = time.perf_counter() - start
 
-        start = time.perf_counter()
-        warm_results = service.map(images)
-        warm_time = time.perf_counter() - start
-        metrics = service.metrics()
+    async def serve_twice():
+        async with service:
+            start = time.perf_counter()
+            cold = await service.map(images)
+            cold_seconds = time.perf_counter() - start
+
+            start = time.perf_counter()
+            warm = await service.map(images)
+            return cold, cold_seconds, warm, time.perf_counter() - start
+
+    cold_results, cold_time, warm_results, warm_time = asyncio.run(serve_twice())
+    metrics = service.metrics()
 
     # exactness: all three paths agree bit-for-bit on every image
     for serial_result, cold_result, warm_result in zip(

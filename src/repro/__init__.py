@@ -26,7 +26,7 @@ Quick start
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Public name → implementation module (relative to this package).  Resolved
 #: on first attribute access (PEP 562): ``import repro`` does not pull in the
@@ -54,7 +54,6 @@ _EXPORTS = {
     "ArrayBackend": "backend",
     "get_backend": "backend",
     "available_backends": "backend",
-    "SegmentationService": "serve",
     "ResultCache": "serve",
     "KMeansSegmenter": "baselines",
     "OtsuSegmenter": "baselines",
@@ -123,4 +122,4 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .errors import ReproError
     from .metrics import MethodScore, ResultTable, iou, mean_iou, pixel_accuracy
     from .quantum import NoiseModel
-    from .serve import ResultCache, SegmentationService
+    from .serve import ResultCache

@@ -122,13 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ignored for the serial executor)",
     )
     srv.add_argument("--no-lut", action="store_true", help="disable the LUT fast path")
-    srv.add_argument("--max-batch", type=int, default=16, help="micro-batch flush size")
-    srv.add_argument(
-        "--max-wait", type=float, default=None,
-        help="sync spool service only: micro-batch flush deadline in seconds after "
-        "the first queued request (default 0.01); --async/--http batch without "
-        "waiting and reject it",
-    )
+    srv.add_argument("--max-batch", type=int, default=16, help="largest micro-batch")
     srv.add_argument("--queue-size", type=int, default=64, help="bounded ingress queue capacity")
     srv.add_argument("--cache-size", type=int, default=256, help="result cache entries (LRU)")
     srv.add_argument(
@@ -154,24 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the fleet's shared-memory cache tier",
     )
     srv.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="serve through the asyncio front end (priority lanes, per-job "
-        "deadlines, deadline-aware shedding)",
-    )
-    srv.add_argument(
         "--priority-field", default="priority",
-        help="JSONL key holding the lane (high/normal/low) for --async jobs",
+        help="JSONL key holding each job's lane (high/normal/low)",
     )
     srv.add_argument(
         "--default-deadline-ms", type=float, default=None,
-        help="deadline in milliseconds applied to --async jobs that do not "
-        "carry their own deadline_ms",
+        help="deadline in milliseconds for jobs (or --http requests) that "
+        "carry none of their own; a job that cannot make it is shed",
     )
     srv.add_argument(
         "--http", default=None, metavar="HOST:PORT",
         help="serve POST /v1/segment, GET /v1/metrics and GET /healthz over "
-        "HTTP (implies --async; port 0 picks a free port; runs until "
-        "SIGINT/SIGTERM, then drains in-flight requests before exiting)",
+        "HTTP (port 0 picks a free port; runs until SIGINT/SIGTERM, then "
+        "drains in-flight requests before exiting)",
     )
     srv.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -184,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="adaptive control loop for --async/--http services: re-derive "
-        "the micro-batch size and lane weights from live telemetry every "
-        "control tick, bounded (--lane-weights are the floors)",
+        help="adaptive control loop: re-derive the micro-batch size and lane "
+        "weights from live telemetry every control tick, bounded "
+        "(--max-batch is the ceiling, --lane-weights are the floors)",
     )
     srv.add_argument(
         "--max-body-mb", type=float, default=64.0,
@@ -194,12 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--lane-weights", default=None, metavar="HIGH:NORMAL:LOW",
-        help="batch slots per weighted-drain cycle for the async priority "
-        "lanes, e.g. 4:2:1 (--async/--http)",
+        help="batch slots per weighted-drain cycle for the priority lanes, "
+        "e.g. 4:2:1",
     )
     srv.add_argument(
         "--client-rate", type=float, default=None,
-        help="per-client token-bucket quota in requests/second (--async/--http)",
+        help="per-client token-bucket quota in requests/second (the JSONL "
+        "\"client\" field or the X-Repro-Client header)",
     )
     srv.add_argument(
         "--client-burst", type=float, default=None,
@@ -468,22 +458,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _serve_cache(args: argparse.Namespace):
-    """Build the cache stack for ``serve``: memory L1, optional disk L2.
-
-    Delegates to :meth:`~repro.serve.WorkerSpec.build_cache` so the
-    sync front end stacks its tiers exactly like the async/fleet workers.
-    """
-    from .serve import WorkerSpec
-
-    return WorkerSpec(
-        cache_entries=args.cache_size,
-        ttl_seconds=args.ttl,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    ).build_cache()
-
-
 def _parse_lane_weights(text: str) -> dict:
     """``"4:2:1"`` → ``{"high": 4, "normal": 2, "low": 1}``."""
     from .errors import ParameterError
@@ -596,9 +570,9 @@ def _parse_backend_names(raw):
 
 
 def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
-    """The picklable service recipe shared by every async serve mode.
+    """The picklable service recipe shared by every serve mode.
 
-    Single-process ``--http``, the JSONL/spool ``--async`` drivers and the
+    Single-process ``--http``, the spool and JSONL drivers and the
     ``--workers N`` fleet all construct their service through one
     :class:`~repro.serve.WorkerSpec`, so a fleet worker is configured
     exactly like the single process it replaces.
@@ -727,22 +701,12 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .baselines.registry import get_segmenter
-    from .engine import BatchSegmentationEngine
     from .errors import CacheError
     from .obs import configure_logging
-    from .serve import SegmentationService
-    from .serve import (
-        build_report,
-        iter_jsonl_jobs,
-        iter_spool_jobs,
-        run_jobs,
-        run_jobs_async,
-    )
+    from .serve import build_report, iter_jsonl_jobs, iter_spool_jobs, run_jobs_async
 
     configure_logging(format=args.log_format)
     http_mode = args.http is not None
-    use_async = args.use_async or http_mode
     stdin_mode = args.source == "-"
     if http_mode and args.source is not None:
         print(
@@ -752,13 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.workers is not None and not http_mode:
         print("error: --workers requires --http", file=sys.stderr)
-        return 2
-    if args.max_wait is not None and use_async:
-        print(
-            "error: --max-wait configures the sync spool service; --async/--http "
-            "batch without waiting",
-            file=sys.stderr,
-        )
         return 2
     if not http_mode:
         if args.source is None:
@@ -788,38 +745,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         if http_mode:
             http_host, http_port = _parse_http_address(args.http)
-        if use_async:
-            spec = _build_worker_spec(args, http_mode)
-            theta_used = spec.theta_used
-            if fleet_mode:
-                # Validate the recipe in the parent: a bad --method or an
-                # unwritable --cache-dir must exit 2 here, exactly like the
-                # single-process path — not crash-loop inside the workers.
-                spec.build_service()
-                service = None
-            else:
-                service = spec.build_service()
-        else:
-            kwargs = _segmenter_kwargs(args)
-            theta_used = float(args.theta) if ("thetas" in kwargs or "theta" in kwargs) else None
-            engine = BatchSegmentationEngine(
-                get_segmenter(args.method, **kwargs),
-                use_lut=not args.no_lut,
-                executor=_make_executor(args.executor, args.jobs),
-                backend=(_parse_backend_names(args.backend) or [None])[0],
-            )
-            from .obs import Tracer
-
-            service = SegmentationService(
-                engine,
-                max_batch_size=args.max_batch,
-                max_wait_seconds=args.max_wait if args.max_wait is not None else 0.01,
-                queue_size=args.queue_size,
-                cache=_serve_cache(args),
-                tracer=Tracer(
-                    sample_rate=args.trace_sample_rate, ring_size=args.trace_ring
-                ),
-            )
+        spec = _build_worker_spec(args, http_mode)
+        theta_used = spec.theta_used
+        service = spec.build_service()
+        if fleet_mode:
+            # Built only to validate the recipe in the parent: a bad
+            # --method or an unwritable --cache-dir must exit 2 here, exactly
+            # like the single-process path — not crash-loop inside the
+            # workers, which build their own.
+            service = None
     except (ValueError, CacheError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -850,34 +784,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         out_dir = args.out_dir or os.path.join(args.source, "results")
 
-    if use_async:
-
-        async def _drive() -> tuple:
-            async with service:
-                entries = await run_jobs_async(
-                    service,
-                    jobs,
-                    out_dir=out_dir,
-                    default_deadline_ms=args.default_deadline_ms,
-                )
-                report = build_report(
-                    service,
-                    entries,
-                    method=args.method,
-                    parameters={"theta": theta_used, "seed": args.seed},
-                )
-            return entries, report
-
-        entries, report = asyncio.run(_drive())
-    else:
-        with service:
-            entries = run_jobs(service, jobs, out_dir=out_dir)
+    async def _drive() -> tuple:
+        async with service:
+            entries = await run_jobs_async(
+                service,
+                jobs,
+                out_dir=out_dir,
+                default_deadline_ms=args.default_deadline_ms,
+            )
             report = build_report(
                 service,
                 entries,
                 method=args.method,
                 parameters={"theta": theta_used, "seed": args.seed},
             )
+        return entries, report
+
+    entries, report = asyncio.run(_drive())
 
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.report:

@@ -17,8 +17,9 @@ Four zero-dependency building blocks threaded through the serving stack:
   by that table, plus a small validator used by CI.
 """
 
+from typing import TYPE_CHECKING
+
 from .log import StructuredLogger, configure_logging, get_logger
-from .prom import render_prometheus, validate_exposition
 from .trace import Trace, Tracer
 
 __all__ = [
@@ -30,3 +31,21 @@ __all__ = [
     "render_prometheus",
     "validate_exposition",
 ]
+
+
+def __getattr__(name: str):
+    # The exposition pair resolves lazily (PEP 562): ``python -m
+    # repro.obs.prom`` imports this package first, and an eager import of
+    # ``.prom`` here would make runpy warn that the module it is about to
+    # run is already loaded.
+    if name in ("render_prometheus", "validate_exposition"):
+        from . import prom
+
+        value = getattr(prom, name)
+        globals()[name] = value  # cache: next access skips this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .prom import render_prometheus, validate_exposition

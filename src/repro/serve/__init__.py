@@ -3,19 +3,17 @@
 This subsystem turns the one-shot batch engine into a long-lived service fit
 for request/response traffic:
 
-* :class:`SegmentationService` — bounded ingress queue (backpressure, not
-  OOM), request coalescing through a :class:`MicroBatcher` (flush on batch
-  size or deadline), a content-addressed :class:`ResultCache` in front of the
-  engine (LRU + TTL keyed by image digest + engine-config digest), service
-  metrics (throughput, latency percentiles, cache hit rate, queue depth) and
-  graceful draining shutdown.
-* :class:`AsyncSegmentationService` — the asyncio-native front end over the
-  same engine machinery: ``await submit(image, priority=..., deadline=...,
-  client_id=...)`` with work-conserving micro-batching (an idle worker
-  drains at once; batches form only under backlog), HIGH/NORMAL/LOW
-  priority lanes (weighted draining), per-client token-bucket quotas,
+* :class:`AsyncSegmentationService` — the one serving core:
+  ``await submit(image, priority=..., deadline=..., client_id=...)`` with a
+  content-addressed :class:`ResultCache` in front of the engine (LRU + TTL
+  keyed by image digest + engine-config digest; in-memory hits are answered
+  on the event loop), work-conserving micro-batching (an idle worker drains
+  at once; batches form only under backlog, and identical images in a batch
+  are computed once), HIGH/NORMAL/LOW priority lanes (weighted draining),
+  bounded lanes (backpressure, not OOM), per-client token-bucket quotas,
   deadline-aware admission and shedding
-  (:class:`~repro.errors.DeadlineExceededError`) and graceful ``aclose()``.
+  (:class:`~repro.errors.DeadlineExceededError`), service metrics and
+  graceful ``aclose()``.
 * :class:`HttpSegmentationServer` — the stdlib-only asyncio HTTP/1.1 front
   end over the async service (``POST /v1/segment``, ``GET /v1/metrics``,
   ``GET /v1/capabilities``, draining-aware ``GET /healthz``) with every
@@ -45,8 +43,9 @@ for request/response traffic:
   re-derived each tick from live telemetry, within bounds.
   CLI: ``repro-segment serve --http HOST:PORT --workers N [--backend ...]``.
 * the spool job sources behind ``repro-segment serve``: a watched spool
-  directory or JSONL job lines (with optional per-job priority and
-  deadline), emitting a ``repro-serve-report/v1`` summary.
+  directory or JSONL job lines (with optional per-job priority, deadline
+  and client), driven through the service by :func:`run_jobs_async` and
+  summarised as a ``repro-serve-report/v1`` document.
 
 This module is the serving layer's **only import surface**: every public
 name is re-exported here (lazily, via PEP 562, so ``import repro.serve``
@@ -58,15 +57,17 @@ arbitrarily large dataset through a bounded in-flight window.
 
 Quick start
 -----------
+>>> import asyncio
 >>> import numpy as np
 >>> from repro import BatchSegmentationEngine, IQFTSegmenter
->>> from repro.serve import SegmentationService
+>>> from repro.serve import AsyncSegmentationService
 >>> engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
 >>> image = (np.random.default_rng(0).random((16, 16, 3)) * 255).astype(np.uint8)
->>> with SegmentationService(engine) as service:
-...     result = service.submit(image).result()
-...     repeat = service.submit(image).result()  # served from the cache
->>> bool(repeat.segmentation.extras["cache_hit"])
+>>> async def serve_twice():
+...     async with AsyncSegmentationService(engine) as service:
+...         await service.submit(image)
+...         return await service.submit(image)  # served from the cache
+>>> bool(asyncio.run(serve_twice()).segmentation.extras["cache_hit"])
 True
 """
 
@@ -77,11 +78,9 @@ from typing import TYPE_CHECKING
 #: attribute access (PEP 562), so importing :mod:`repro.serve` does not pay
 #: for asyncio, multiprocessing, or the HTTP stack until they are used.
 _EXPORTS = {
-    "SegmentationService": "_service",
     "AsyncSegmentationService": "_aio",
     "Priority": "_aio",
     "TokenBucket": "_aio",
-    "MicroBatcher": "_batcher",
     "AdaptiveConfig": "_batcher",
     "AdaptiveController": "_batcher",
     "ServeFleet": "_fleet",
@@ -106,7 +105,6 @@ _EXPORTS = {
     "Job": "_spool",
     "iter_spool_jobs": "_spool",
     "iter_jsonl_jobs": "_spool",
-    "run_jobs": "_spool",
     "run_jobs_async": "_spool",
     "build_report": "_spool",
 }
@@ -129,7 +127,7 @@ def __dir__():
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._aio import AsyncSegmentationService, Priority, TokenBucket
-    from ._batcher import AdaptiveConfig, AdaptiveController, MicroBatcher
+    from ._batcher import AdaptiveConfig, AdaptiveController
     from ._cache import (
         CacheStats,
         ResultCache,
@@ -144,13 +142,11 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._fleet import ServeFleet, WorkerSpec, merge_worker_metrics
     from ._http import HttpSegmentationServer, status_for_exception
     from ._http_client import HttpSegmentResult, SegmentClient
-    from ._service import SegmentationService
     from ._shmcache import SharedMemoryResultCache, ShmCacheStats
     from ._spool import (
         Job,
         build_report,
         iter_jsonl_jobs,
         iter_spool_jobs,
-        run_jobs,
         run_jobs_async,
     )

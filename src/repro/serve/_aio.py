@@ -1,11 +1,10 @@
-"""Asyncio-native serving front end: priority lanes, deadlines, quotas.
+"""The serving front end: priority lanes, deadlines, quotas.
 
-:class:`AsyncSegmentationService` is the ingress tier the ROADMAP's
-"heavy multi-user traffic" north star asks for.  Its micro-batches run
-through the same batch pipeline (:func:`process_batch`) as the threaded
-:class:`~repro.serve.SegmentationService`, but it replaces the blocking
-``submit -> Future`` surface with a coroutine and replaces the single FIFO
-queue with a *multi-lane* ingress that knows about request urgency:
+:class:`AsyncSegmentationService` is the library's one serving core: the
+HTTP edge, every fleet worker and the ``repro-segment serve`` spool driver
+all run on it.  ``submit`` is a coroutine, micro-batches run through one
+batch pipeline (:func:`process_batch`), and the ingress is *multi-lane*, so
+it knows about request urgency:
 
 * **work-conserving micro-batching** — an idle service drains a queued
   request at once; batches form only from requests that arrive while the
@@ -35,9 +34,12 @@ queue with a *multi-lane* ingress that knows about request urgency:
 * **graceful async shutdown** — :meth:`aclose` drains admitted work (or
   cancels it with ``drain=False``); ``async with`` gives the drained path.
 
-The event loop is never blocked: engine batches, cache I/O and scoring run in
-the loop's default thread executor, and the loop only assembles batches and
-resolves futures.  One service instance belongs to one event loop.
+The event loop never waits on I/O or on the engine: engine batches, shm and
+disk cache I/O and scoring against ground truth run in the loop's default
+thread executor.  The loop assembles batches, resolves futures and answers
+in-memory cache hits itself (a locked dict lookup, plus widening the stored
+mask when there is nothing to score), which is cheaper than the thread hop
+that would carry them.  One service instance belongs to one event loop.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from ._batcher import AdaptiveConfig, AdaptiveController
 from ._cache import (
     CacheKey,
     ResultCache,
+    TieredResultCache,
     TileCacheAdapter,
     config_digest,
     engine_fingerprint,
@@ -215,7 +218,7 @@ def _score_request(
     cache_hit: bool,
     coalesced: bool,
 ) -> PipelineResult:
-    """The per-request evaluation protocol (both front ends)."""
+    """The per-request evaluation protocol (admission hits and batches alike)."""
     tagged = dataclasses.replace(
         segmentation,
         extras={**segmentation.extras, "cache_hit": cache_hit, "coalesced": coalesced},
@@ -237,24 +240,47 @@ def _segment_image(engine: BatchSegmentationEngine, image: np.ndarray):
         return exc
 
 
+def _traced_get(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
+    """``cache.get``; a trace-aware cache also records one span per tier probed."""
+    if trace is not None and getattr(cache, "supports_trace", False):
+        return cache.get(key, trace=trace)
+    return cache.get(key)
+
+
 def _cache_get(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
     """Cache probe recording a ``cache.probe`` span (tier spans nested).
 
-    Runs on an executor/worker thread; a trace-aware cache (the tiered
-    cache) additionally records one span per tier probed with
-    hit-or-miss and payload bytes.
+    Runs on an executor thread (the batch pipeline's re-check).
     """
     if cache is None:
         return None
     if trace is None:
         return cache.get(key)
     start = trace.clock()
-    if getattr(cache, "supports_trace", False):
-        value = cache.get(key, trace=trace)
-    else:
-        value = cache.get(key)
+    value = _traced_get(cache, key, trace)
     trace.add("cache.probe", start, trace.clock(), hit=value is not None)
     return value
+
+
+def _admission_probes(cache: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
+    """Split the admission probe into ``(on_loop, off_loop)`` halves.
+
+    Each half is called as ``half(key, trace)``.  An in-memory
+    :class:`ResultCache` lookup is a dict access under a lock, cheaper than
+    the thread hop that would carry it, so it runs on the event loop; of a
+    :class:`TieredResultCache` only the L1 does, and the shm and disk tiers
+    below it run on the executor.  Any other cache is probed whole on the
+    executor.  The split goes by type, not by attributes, so a wrapper that
+    forwards a tier's attributes (a test double, a delay injector) keeps the
+    executor probe and never blocks the loop.
+    """
+    if cache is None:
+        return None, None
+    if isinstance(cache, ResultCache):
+        return cache.get, None
+    if isinstance(cache, TieredResultCache) and isinstance(cache.l1, ResultCache):
+        return cache.get_l1, cache.get_below_l1
+    return None, functools.partial(_traced_get, cache)
 
 
 #: One settled request of a batch: ``(request, result-or-exception,
@@ -305,9 +331,8 @@ def process_batch(
 ) -> List[Outcome]:
     """The batch pipeline: coalesce → re-check cache → compute → binarize → store → score.
 
-    Both front ends run their micro-batches through this one function (the
-    async service on an executor thread, the sync service on its worker
-    thread).  ``batch`` holds request objects carrying ``image``, ``key``,
+    The service runs each micro-batch through this function on an executor
+    thread.  ``batch`` holds request objects carrying ``image``, ``key``,
     ``trace``, ``ground_truth`` and ``void_mask`` (plus ``stream_id`` when
     ``delta`` is given).  Returns one :data:`Outcome` per request; the
     caller resolves its own futures and counters.
@@ -733,11 +758,15 @@ class AsyncSegmentationService:
         cannot (or did not) make it raises
         :class:`~repro.errors.DeadlineExceededError`.  ``client_id`` keys the
         optional per-client quota.  With ``block=True`` (default) a submit
-        that finds every lane slot taken *waits* for space — the same
-        backpressure contract as the sync service — while ``block=False``
-        raises :class:`~repro.errors.ServiceOverloadedError` immediately.
-        Deadline, quota and close checks are never blocking.  The caller's
-        buffer is snapshotted before queueing, exactly like the sync service.
+        that finds every lane slot taken *waits* for space (backpressure),
+        while ``block=False`` raises
+        :class:`~repro.errors.ServiceOverloadedError` immediately.  Deadline,
+        quota and close checks are never blocking.
+
+        A hit in the in-memory cache is answered on the event loop; an
+        unannotated hit (no ``ground_truth``) never leaves it.  A miss
+        snapshots ``image`` (and the masks) before its first ``await``, so
+        once the submit has suspended the caller may reuse its buffer.
 
         ``trace`` threads an externally-owned :class:`~repro.obs.trace.Trace`
         (the HTTP edge's) through the request; without one the service's own
@@ -814,53 +843,44 @@ class AsyncSegmentationService:
             state.shed_admission += 1
             raise DeadlineExceededError("deadline already expired at submission")
 
-        # Snapshot *before* the digest and before any await: the coroutine
-        # suspends at the cache probe and the backpressure wait, and a caller
-        # reusing its buffer in the meantime (the streaming video-frame
-        # pattern) must not divorce the digest from the bytes it describes —
-        # that would poison the content-addressed cache.
-        arr = np.array(image, copy=True)
-        key: CacheKey = (image_digest(arr), self._config_digest)
+        # The digest reads the caller's buffer in place.  Nothing runs
+        # between it and the snapshot below, so the two describe the same
+        # bytes.
+        image = np.asarray(image)
+        key: CacheKey = (image_digest(image), self._config_digest)
         loop = asyncio.get_running_loop()
 
-        # The cache probe yields to the executor, opening a window in which
-        # aclose() could observe empty lanes and let the worker exit before
-        # this request lands in its lane.  The _admitting counter keeps the
-        # worker alive until every submit past the closed check has either
-        # queued or returned.
+        # A probe below the in-memory tier yields to the executor, opening a
+        # window in which aclose() could observe empty lanes and let the
+        # worker exit before this request lands in its lane.  The _admitting
+        # counter keeps the worker alive until every submit past the closed
+        # check has either queued or returned.
         self._admitting += 1
         if trace is not None:
             trace.annotate(priority=lane.name.lower())
             if stream_id is not None:
                 trace.annotate(stream_id=str(stream_id))
         try:
-            if self.cache is not None:
-                cached = await loop.run_in_executor(
-                    None, functools.partial(_cache_get, self.cache, key, trace)
-                )
-                if cached is not None:
-                    segmentation, binary = cached
-                    score_start = self._clock()
-                    result = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            _score_request,
-                            self.engine,
-                            ground_truth,
-                            void_mask,
-                            segmentation,
-                            binary,
-                            True,
-                            False,
-                        ),
-                    )
-                    if trace is not None:
-                        trace.add("scoring", score_start, self._clock())
-                        trace.annotate(cache_hit=True)
-                    self._requests += 1
-                    state.submitted += 1
-                    self._record_completion(state, now, trace=trace)
-                    return result
+            on_loop, off_loop = _admission_probes(self.cache)
+            probe_start = trace.clock() if trace is not None else 0.0
+            cached = on_loop(key, trace) if on_loop is not None else None
+            if cached is None:
+                # A miss: snapshot the caller's arrays before the first
+                # await.  A caller reusing its buffer while this request
+                # waits (the streaming video-frame pattern) must not divorce
+                # the digest from the bytes it describes; that would poison
+                # the content-addressed cache.
+                image = np.array(image, copy=True)
+                if ground_truth is not None:
+                    ground_truth = np.array(ground_truth, copy=True)
+                if void_mask is not None:
+                    void_mask = np.array(void_mask, copy=True)
+                if off_loop is not None:
+                    cached = await loop.run_in_executor(None, off_loop, key, trace)
+            if trace is not None and self.cache is not None:
+                trace.add("cache.probe", probe_start, trace.clock(), hit=cached is not None)
+            if cached is not None:
+                return await self._answer_hit(state, now, cached, ground_truth, void_mask, trace)
 
             if deadline is not None:
                 estimate = self.estimate_completion_seconds(lane)
@@ -891,11 +911,9 @@ class AsyncSegmentationService:
                     )
 
             request = _AsyncRequest(
-                image=arr,  # already a private snapshot (copied above)
-                ground_truth=(
-                    np.array(ground_truth, copy=True) if ground_truth is not None else None
-                ),
-                void_mask=np.array(void_mask, copy=True) if void_mask is not None else None,
+                image=image,  # the private snapshots taken above
+                ground_truth=ground_truth,
+                void_mask=void_mask,
                 key=key,
                 priority=lane,
                 deadline_at=now + deadline if deadline is not None else None,
@@ -917,6 +935,33 @@ class AsyncSegmentationService:
         except asyncio.CancelledError:
             self._cancelled += 1
             raise
+
+    async def _answer_hit(
+        self,
+        state: _LaneState,
+        submitted_at: float,
+        cached: Any,
+        ground_truth: Optional[np.ndarray],
+        void_mask: Optional[np.ndarray],
+        trace: Optional[Trace],
+    ) -> PipelineResult:
+        """Answer an admission cache hit without queueing it."""
+        segmentation, binary = cached
+        score_start = self._clock()
+        score = functools.partial(
+            _score_request, self.engine, ground_truth, void_mask, segmentation, binary, True, False
+        )
+        if ground_truth is None and binary is not None:
+            result = score()  # nothing to score: widening the stored mask is the answer
+        else:
+            result = await asyncio.get_running_loop().run_in_executor(None, score)
+        if trace is not None:
+            trace.add("scoring", score_start, self._clock())
+            trace.annotate(cache_hit=True)
+        self._requests += 1
+        state.submitted += 1
+        self._record_completion(state, submitted_at, trace=trace)
+        return result
 
     async def map(
         self,

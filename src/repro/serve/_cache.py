@@ -221,6 +221,26 @@ def value_nbytes(value: Any) -> int:
     return 0
 
 
+def _probe_tier(tier: Any, name: str, key: CacheKey, trace: Any) -> Optional[Any]:
+    """``tier.get(key)``; with a ``trace``, also a ``name`` span under ``cache.probe``.
+
+    The span carries hit-or-miss and the payload bytes a hit returned.
+    """
+    if trace is None:
+        return tier.get(key)
+    start = trace.clock()
+    value = tier.get(key)
+    trace.add(
+        name,
+        start,
+        trace.clock(),
+        parent="cache.probe",
+        hit=value is not None,
+        bytes=value_nbytes(value) if value is not None else 0,
+    )
+    return value
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """A point-in-time snapshot of cache effectiveness counters."""
@@ -296,17 +316,7 @@ class ResultCache:
     def get(self, key: CacheKey, trace: Any = None) -> Optional[Any]:
         """The cached value, or ``None`` on miss/expiry (which counts a miss)."""
         if trace is not None:
-            start = trace.clock()
-            value = self.get(key)
-            trace.add(
-                "cache.memory",
-                start,
-                trace.clock(),
-                parent="cache.probe",
-                hit=value is not None,
-                bytes=value_nbytes(value) if value is not None else 0,
-            )
-            return value
+            return _probe_tier(self, "cache.memory", key, trace)
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
@@ -455,46 +465,28 @@ class TieredResultCache:
         service's ``cache.probe`` span) annotated with hit-or-miss and the
         payload bytes a hit returned.
         """
-        if trace is not None:
-            return self._get_traced(key, trace)
-        value = self.l1.get(key)
+        value = self.get_l1(key, trace)
         if value is not None:
             return value
+        return self.get_below_l1(key, trace)
+
+    def get_l1(self, key: CacheKey, trace: Any = None) -> Optional[Any]:
+        """The L1 half of :meth:`get`: probe the in-memory tier only."""
+        return _probe_tier(self.l1, "cache.l1", key, trace)
+
+    def get_below_l1(self, key: CacheKey, trace: Any = None) -> Optional[Any]:
+        """The rest of :meth:`get` after an L1 miss: shm, then L2, promoting a hit.
+
+        The async service probes L1 on its event loop and runs only this
+        half (file and shared-memory I/O) on an executor thread, so each
+        tier is probed once per lookup.
+        """
         if self.shm is not None:
-            value = self.shm.get(key)
+            value = _probe_tier(self.shm, "cache.shm", key, trace)
             if value is not None:
                 self.l1.put(key, value)
                 return value
-        value = self.l2.get(key)
-        if value is not None:
-            if self.shm is not None:
-                self.shm.put(key, value)
-            self.l1.put(key, value)
-        return value
-
-    def _get_traced(self, key: CacheKey, trace: Any) -> Optional[Any]:
-        def probe(tier: Any, name: str) -> Optional[Any]:
-            start = trace.clock()
-            value = tier.get(key)
-            trace.add(
-                name,
-                start,
-                trace.clock(),
-                parent="cache.probe",
-                hit=value is not None,
-                bytes=value_nbytes(value) if value is not None else 0,
-            )
-            return value
-
-        value = probe(self.l1, "cache.l1")
-        if value is not None:
-            return value
-        if self.shm is not None:
-            value = probe(self.shm, "cache.shm")
-            if value is not None:
-                self.l1.put(key, value)
-                return value
-        value = probe(self.l2, "cache.l2")
+        value = _probe_tier(self.l2, "cache.l2", key, trace)
         if value is not None:
             if self.shm is not None:
                 self.shm.put(key, value)

@@ -1,6 +1,6 @@
 """Job sources and the driver for ``repro-segment serve``.
 
-The CLI feeds a :class:`~repro.serve.SegmentationService` from one of
+The CLI feeds an :class:`~repro.serve.AsyncSegmentationService` from one of
 two job sources:
 
 * a **spool directory** — every supported image file is one job.  One-shot
@@ -10,14 +10,17 @@ two job sources:
 * **JSONL job lines** — each line is ``{"path": "...", "id": "..."}`` (``id``
   optional, defaults to the path); blank lines are skipped and malformed
   lines become per-job error entries instead of aborting the stream.  A
-  configurable priority field (default ``"priority"``) and a
-  ``"deadline_ms"`` key route each job through the async front end's lanes.
+  configurable priority field (default ``"priority"``) picks each job's lane,
+  a ``"deadline_ms"`` key its deadline and a ``"client"`` key its quota
+  bucket.
 
-Jobs are submitted eagerly (so the micro-batcher can coalesce them) with a
-bounded number of pending futures — the driver itself obeys the same
-bounded-memory discipline as the service it feeds.  Each finished job yields
-one report entry; :func:`build_report` wraps them into the
-``repro-serve-report/v1`` summary document.
+:func:`run_jobs_async` decodes jobs on a reader thread, a bounded number
+ahead of the event loop, submits them eagerly (so batches form from the
+backlog) with a bounded number of pending requests — the driver obeys the
+same bounded-memory discipline as the service it feeds — and writes result
+files on a writer thread.  Each finished job yields one report entry;
+:func:`build_report` wraps them into the ``repro-serve-report/v1`` summary
+document.
 """
 
 from __future__ import annotations
@@ -28,25 +31,28 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, TextIO, Tuple
 
 import numpy as np
 
-from ..imaging.io_dispatch import IMAGE_EXTENSIONS
+from ..imaging.io_dispatch import IMAGE_EXTENSIONS, read_image
 from ..obs import get_logger
-from ._service import SegmentationService
 
 __all__ = [
     "Job",
     "iter_spool_jobs",
     "iter_jsonl_jobs",
-    "run_jobs",
     "run_jobs_async",
     "build_report",
 ]
 
 #: Default stop-file name ending a ``--watch`` serve loop.
 DEFAULT_STOP_FILE = ".stop"
+
+#: Jobs the driver's reader thread decodes ahead of the event loop: enough
+#: to keep the loop fed, few enough to bound the decoded images it holds.
+READ_AHEAD = 16
 
 
 @dataclasses.dataclass
@@ -56,9 +62,9 @@ class Job:
     id: str
     path: Optional[str] = None
     error: Optional[str] = None  # set for malformed job lines
-    priority: str = "normal"  # lane name for the async front end
+    priority: str = "normal"  # priority lane name
     deadline_ms: Optional[float] = None  # per-job deadline override
-    client: Optional[str] = None  # quota key for the async front end
+    client: Optional[str] = None  # per-client quota key
 
     @property
     def output_name(self) -> str:
@@ -133,8 +139,8 @@ def iter_jsonl_jobs(stream: TextIO, priority_field: str = "priority") -> Iterato
 
     ``priority_field`` names the JSON key holding the lane (``"high"`` /
     ``"normal"`` / ``"low"``, default lane when absent); a ``"deadline_ms"``
-    key sets a per-job deadline.  Both only matter to the async front end —
-    the sync service ignores them.
+    key sets a per-job deadline and a ``"client"`` key the per-client quota
+    bucket.
     """
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -164,7 +170,7 @@ def iter_jsonl_jobs(stream: TextIO, priority_field: str = "priority") -> Iterato
 
 def _job_entry(job: Job, outcome: Any) -> Dict[str, Any]:
     """Collapse a finished job into one JSON-friendly report entry."""
-    entry: Dict[str, Any] = {"id": job.id, "file": job.path}
+    entry: Dict[str, Any] = {"id": job.id, "file": job.path, "priority": job.priority}
     if isinstance(outcome, BaseException):
         entry["error"] = f"{type(outcome).__name__}: {outcome}"
         get_logger().warning(
@@ -187,65 +193,32 @@ def _job_entry(job: Job, outcome: Any) -> Dict[str, Any]:
 
 
 def _write_entry_file(path: str, entry: Dict[str, Any]) -> None:
-    """Write one per-job result file (sync: async callers run it off-loop)."""
+    """Write one per-job result file (on the driver's writer thread)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entry, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def run_jobs(
-    service: SegmentationService,
-    jobs: Iterable[Job],
-    out_dir: Optional[str] = None,
-    max_pending: Optional[int] = None,
-) -> List[Dict[str, Any]]:
-    """Feed ``jobs`` through ``service`` and return one report entry per job.
+def _read_next(job_iter: Iterator[Job]) -> Tuple[Optional[Job], Any]:
+    """The next job and its decoded image (or the decode error); ``None`` at the end."""
+    job = next(job_iter, None)
+    if job is None or job.error is not None:
+        return job, None
+    try:
+        return job, np.asarray(read_image(job.path))
+    except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
+        return job, exc
 
-    Jobs are submitted as they arrive so the micro-batcher can coalesce them;
-    at most ``max_pending`` futures are outstanding (default: twice the
-    service queue size), keeping driver memory bounded on endless watch
-    streams.  Unreadable images and per-request failures become error entries
-    — one bad job never aborts the run.  With ``out_dir``, each successful
-    job also writes ``<out_dir>/<job>.json``.
-    """
-    from ..imaging.io_dispatch import read_image  # local: keep import cost off the hot path
 
-    if max_pending is None:
-        max_pending = 2 * service._batcher.queue_size
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    entries: List[Dict[str, Any]] = []
-    pending: deque = deque()  # (job, future)
-
-    def _finish(job: Job, future) -> None:
-        try:
-            outcome = future.result()
-        except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
-            outcome = exc
-        entry = _job_entry(job, outcome)
-        if out_dir is not None and "error" not in entry:
-            path = os.path.join(out_dir, f"{job.output_name}.json")
-            _write_entry_file(path, entry)
-            entry["result_file"] = path
-        entries.append(entry)
-
-    for job in jobs:
-        if job.error is not None:
-            entries.append({"id": job.id, "file": job.path, "error": job.error})
-            continue
-        try:
-            image = np.asarray(read_image(job.path))
-        except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
-            entries.append(_job_entry(job, exc))
-            continue
-        pending.append((job, service.submit(image)))
-        while len(pending) >= max_pending:
-            _finish(*pending.popleft())
-
-    while pending:
-        _finish(*pending.popleft())
-    return entries
+def _result_name(job: Job, taken: Set[str]) -> str:
+    """``job.output_name``, suffixed ``-1``, ``-2``, ... if this run already used it."""
+    name = stem = job.output_name
+    suffix = 0
+    while name in taken:
+        suffix += 1
+        name = f"{stem}-{suffix}"
+    taken.add(name)
+    return name
 
 
 async def run_jobs_async(
@@ -255,17 +228,23 @@ async def run_jobs_async(
     max_pending: Optional[int] = None,
     default_deadline_ms: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
-    """The :func:`run_jobs` driver for an ``AsyncSegmentationService``.
+    """Feed ``jobs`` through an ``AsyncSegmentationService``; one report entry per job.
 
-    Jobs carry their lane in ``job.priority`` and an optional per-job
-    ``deadline_ms`` (falling back to ``default_deadline_ms``).  The job
-    iterable may block (spool watching) — it is advanced on a worker thread
-    so the event loop keeps resolving in-flight requests.  Shed and expired
-    requests surface as per-job ``error`` entries
-    (``DeadlineExceededError: ...``), exactly like any other per-job failure.
+    A reader thread advances the job iterable (which may block, watching a
+    spool) and decodes each image, up to :data:`READ_AHEAD` jobs ahead of
+    the event loop; a writer thread writes the result files behind it.  At
+    most ``max_pending`` requests are outstanding (default: twice the
+    service queue size), keeping driver memory bounded on endless watch
+    streams.  Jobs carry their lane in ``job.priority`` and an optional
+    per-job ``deadline_ms`` (falling back to ``default_deadline_ms``).
+    Unreadable images, shed or expired requests (``DeadlineExceededError:
+    ...``) and other per-request failures become ``error`` entries — one
+    bad job never aborts the run.  With ``out_dir``, each successful job
+    also writes ``<out_dir>/<stem>.json``; a later job whose file stem
+    repeats an earlier one's (``x.png`` and ``x.ppm``, or ``a/x.png`` and
+    ``b/x.png``) writes ``<stem>-1.json``, ``<stem>-2.json``, ... in job
+    order.  Every result file is on disk when the coroutine returns.
     """
-    from ..imaging.io_dispatch import read_image  # local: keep import cost off the hot path
-
     if max_pending is None:
         max_pending = 2 * service.queue_size
     if out_dir is not None:
@@ -273,57 +252,62 @@ async def run_jobs_async(
     loop = asyncio.get_running_loop()
 
     entries: List[Dict[str, Any]] = []
-    pending: deque = deque()  # (job, task)
+    pending: deque = deque()  # (job, result-file name or None, task)
+    taken: Set[str] = set()  # result-file names this run has handed out
+    # The loop never waits on a file per job: a thread hop per job costs
+    # more than the work it carries.  Reads are awaited READ_AHEAD deep;
+    # writes only once, at the end of the run.
+    reader = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spool-reader")
+    writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spool-writer")
+    writes: List[Future] = []
 
-    async def _finish(job: Job, task) -> None:
+    async def _finish(job: Job, name: Optional[str], task) -> None:
         try:
             outcome = await task
         except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
             outcome = exc
         entry = _job_entry(job, outcome)
-        entry["priority"] = job.priority
-        if out_dir is not None and "error" not in entry:
-            path = os.path.join(out_dir, f"{job.output_name}.json")
-            # Off-loop: report writes must not stall concurrently awaited jobs.
-            await loop.run_in_executor(None, _write_entry_file, path, entry)
+        if name is not None and "error" not in entry:
+            path = os.path.join(out_dir, f"{name}.json")
+            writes.append(writer.submit(_write_entry_file, path, dict(entry)))
             entry["result_file"] = path
         entries.append(entry)
 
-    _DONE = object()
     job_iter = iter(jobs)
-
-    def _next_job():
-        return next(job_iter, _DONE)
-
-    while True:
-        job = await loop.run_in_executor(None, _next_job)
-        if job is _DONE:
-            break
-        if job.error is not None:
-            entries.append({"id": job.id, "file": job.path, "error": job.error})
-            continue
-        try:
-            image = np.asarray(await loop.run_in_executor(None, read_image, job.path))
-        except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
-            entry = _job_entry(job, exc)
-            entry["priority"] = job.priority
-            entries.append(entry)
-            continue
-        deadline_ms = job.deadline_ms if job.deadline_ms is not None else default_deadline_ms
-        task = asyncio.ensure_future(
-            service.submit(
-                image,
-                priority=job.priority,
-                deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
-                client_id=job.client,
+    ahead = deque(loop.run_in_executor(reader, _read_next, job_iter) for _ in range(READ_AHEAD))
+    try:
+        while True:
+            job, image = await ahead.popleft()
+            if job is None:
+                break
+            ahead.append(loop.run_in_executor(reader, _read_next, job_iter))
+            if job.error is not None:
+                entries.append({"id": job.id, "file": job.path, "error": job.error})
+                continue
+            if isinstance(image, Exception):
+                entries.append(_job_entry(job, image))
+                continue
+            deadline_ms = job.deadline_ms if job.deadline_ms is not None else default_deadline_ms
+            task = asyncio.ensure_future(
+                service.submit(
+                    image,
+                    priority=job.priority,
+                    deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
+                    client_id=job.client,
+                )
             )
-        )
-        pending.append((job, task))
-        while len(pending) >= max_pending:
+            name = _result_name(job, taken) if out_dir is not None else None
+            pending.append((job, name, task))
+            while len(pending) >= max_pending:
+                await _finish(*pending.popleft())
+        while pending:
             await _finish(*pending.popleft())
-
-    while pending:
-        await _finish(*pending.popleft())
+        await loop.run_in_executor(None, writer.shutdown)
+    finally:
+        reader.shutdown(wait=False, cancel_futures=True)
+        writer.shutdown(wait=False)
+    for write in writes:
+        write.result()  # a failed write fails the run
     return entries
 
 

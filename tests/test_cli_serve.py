@@ -30,6 +30,7 @@ _REQUIRED_JOB_KEYS = {
     "runtime_seconds",
     "metrics",
     "result_file",
+    "priority",
 }
 
 
@@ -81,6 +82,44 @@ def test_serve_writes_per_job_result_files(tmp_path, rng):
         entry = json.loads(result_file.read_text())
         assert entry["id"] == f"job_{index}.png"
         assert entry["num_segments"] >= 1
+
+
+def test_serve_gives_same_stem_jobs_distinct_result_files(tmp_path, rng, monkeypatch):
+    def _assert_own_files(report, expected):
+        files = {job["id"]: job["result_file"] for job in report["jobs"]}
+        assert files == expected
+        for job_id, path in files.items():
+            with open(path, encoding="utf-8") as fh:
+                assert json.load(fh)["id"] == job_id
+
+    # x.png and x.ppm share the stem "x"; the later job (in sorted job order)
+    # gets x-1.json instead of overwriting the earlier one's file.
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    for name in ("x.png", "x.ppm"):
+        write_image(spool / name, (rng.random((6, 7, 3)) * 255).astype(np.uint8))
+    report_path = tmp_path / "report.json"
+    assert main(["serve", str(spool), "--report", str(report_path)]) == 0
+    results = spool / "results"
+    _assert_own_files(
+        json.loads(report_path.read_text()),
+        {"x.png": str(results / "x.json"), "x.ppm": str(results / "x-1.json")},
+    )
+
+    # Same stem from two directories, given as JSONL jobs with --out-dir.
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_image(tmp_path / sub / "x.png", (rng.random((6, 7, 3)) * 255).astype(np.uint8))
+    lines = "\n".join(
+        json.dumps({"path": str(tmp_path / sub / "x.png"), "id": sub}) for sub in ("a", "b")
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    out_dir = tmp_path / "out"
+    assert main(["serve", "-", "--out-dir", str(out_dir), "--report", str(report_path)]) == 0
+    _assert_own_files(
+        json.loads(report_path.read_text()),
+        {"a": str(out_dir / "x.json"), "b": str(out_dir / "x-1.json")},
+    )
 
 
 def test_serve_deduplicates_identical_images(tmp_path, rng):
@@ -328,7 +367,7 @@ def test_batch_jobs_flag_forwards_worker_count(tmp_path, rng):
 
 
 # --------------------------------------------------------------------------- #
-# async front end + persistent disk cache
+# lanes, deadlines + persistent disk cache
 # --------------------------------------------------------------------------- #
 def test_serve_async_jsonl_jobs_with_priorities(tmp_path, rng, monkeypatch):
     image_path = tmp_path / "input.png"
@@ -343,10 +382,7 @@ def test_serve_async_jsonl_jobs_with_priorities(tmp_path, rng, monkeypatch):
     )
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     report_path = tmp_path / "report.json"
-    exit_code = main(
-        ["serve", "-", "--async", "--default-deadline-ms", "60000",
-         "--report", str(report_path)]
-    )
+    exit_code = main(["serve", "-", "--default-deadline-ms", "60000", "--report", str(report_path)])
     assert exit_code == 1  # the bogus priority is a per-job error
     report = json.loads(report_path.read_text())
     by_id = {job["id"]: job for job in report["jobs"]}
@@ -366,9 +402,7 @@ def test_serve_async_custom_priority_field(tmp_path, rng, monkeypatch):
     lines = json.dumps({"path": str(image_path), "id": "job", "lane": "high"})
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     report_path = tmp_path / "report.json"
-    assert main(
-        ["serve", "-", "--async", "--priority-field", "lane", "--report", str(report_path)]
-    ) == 0
+    assert main(["serve", "-", "--priority-field", "lane", "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["metrics"]["lanes"]["high"]["completed"] == 1
 
@@ -377,12 +411,12 @@ def test_serve_async_spool_directory(tmp_path, rng):
     spool = tmp_path / "spool"
     _make_spool(spool, rng)
     report_path = tmp_path / "report.json"
-    assert main(["serve", str(spool), "--async", "--report", str(report_path)]) == 0
+    assert main(["serve", str(spool), "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["num_jobs"] == 3
     for job in report["jobs"]:
         assert job["priority"] == "normal"
-        assert "result_file" in job  # per-job JSON written like the sync path
+        assert "result_file" in job  # one per-job JSON file each
 
 
 def test_serve_cache_dir_survives_process_restart(tmp_path, rng):
@@ -503,16 +537,10 @@ def test_serve_async_with_tiered_disk_cache(tmp_path, rng, monkeypatch):
     )
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     first_report = tmp_path / "first.json"
-    assert main(
-        ["serve", "-", "--async", "--cache-dir", str(cache_dir),
-         "--report", str(first_report)]
-    ) == 0
+    assert main(["serve", "-", "--cache-dir", str(cache_dir), "--report", str(first_report)]) == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     second_report = tmp_path / "second.json"
-    assert main(
-        ["serve", "-", "--async", "--cache-dir", str(cache_dir),
-         "--report", str(second_report)]
-    ) == 0
+    assert main(["serve", "-", "--cache-dir", str(cache_dir), "--report", str(second_report)]) == 0
     second = json.loads(second_report.read_text())
     assert second["summary"]["num_cache_hits"] == 3
     assert second["metrics"]["cache"]["l2_hit_rate"] > 0.0

@@ -344,6 +344,24 @@ def test_checker_main_accepts_valid_file_and_rejects_invalid(tmp_path, capsys):
     assert "exposition error" in capsys.readouterr().err
 
 
+def test_checker_module_runs_without_a_runtime_warning(tmp_path):
+    # runpy warns when `python -m repro.obs.prom` finds the module already
+    # imported by its own package; CI runs the checker with this flag.
+    import subprocess
+    import sys
+
+    good = tmp_path / "good.prom"
+    good.write_text(render_prometheus(_metrics()), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs.prom", str(good)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("exposition ok"), proc.stdout
+
+
 def test_checker_main_reads_stdin(monkeypatch, capsys):
     import io as _io
 

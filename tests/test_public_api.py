@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
     assert "__version__" in repro.__all__
 
 
@@ -87,6 +87,7 @@ def test_deprecated_serve_paths_warn_and_alias_the_real_module(old_path):
 def test_serve_surface_covers_the_shim_modules_public_names():
     # Every class the removed paths exposed is reachable from repro.serve —
     # the 2.0.0 migration ("import from repro.serve") must actually work.
-    for name in ("ServeFleet", "WorkerSpec", "MicroBatcher", "SegmentClient",
-                 "SegmentationService", "AsyncSegmentationService", "ResultCache"):
+    # (SegmentationService and MicroBatcher were deleted in 5.0.0.)
+    for name in ("ServeFleet", "WorkerSpec", "SegmentClient",
+                 "AsyncSegmentationService", "ResultCache"):
         assert hasattr(repro.serve, name), name

@@ -464,18 +464,23 @@ def test_tiered_cache_surfaces_disk_telemetry(tmp_path, rng):
 
 def test_service_metrics_surface_disk_eviction_telemetry(tmp_path, rng):
     """The new counters ride TieredResultCache into service.metrics()."""
+    import asyncio
+
     from repro import BatchSegmentationEngine, IQFTSegmenter
-    from repro.serve import SegmentationService
+    from repro.serve import AsyncSegmentationService
 
     tiered = TieredResultCache(
         l1=ResultCache(max_entries=4), l2=DiskResultCache(str(tmp_path))
     )
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
-    with SegmentationService(engine, cache=tiered) as service:
-        image = (rng.random((8, 8, 3)) * 255).astype(np.uint8)
-        service.submit(image).result(timeout=30)
-        metrics = service.metrics()
-    l2 = metrics["cache"]["l2"]
+    image = (rng.random((8, 8, 3)) * 255).astype(np.uint8)
+
+    async def scenario():
+        async with AsyncSegmentationService(engine, cache=tiered) as service:
+            await service.submit(image)
+            return service.metrics()
+
+    l2 = asyncio.run(scenario())["cache"]["l2"]
     for key in ("evictions", "evicted_bytes", "corrupt_dropped", "expirations"):
         assert key in l2, key
     assert l2["stores"] == 1

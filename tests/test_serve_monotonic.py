@@ -1,21 +1,26 @@
 """Monotonic-clock regression tests for the serving layer.
 
-Every time source in the request path (micro-batcher deadlines, cache TTLs,
-service latency/uptime, async deadlines) must be a *monotonic* clock, never
-``time.time()`` — a wall-clock step (NTP correction, DST, manual reset) must
-not flush batches early, expire cache entries, or distort latency
-percentiles.  These tests pin that down with injected fake clocks and a
-source audit.
+Every time source in the request path (request deadlines, cache TTLs,
+service latency/uptime) must be a *monotonic* clock, never ``time.time()``
+— a wall-clock step (NTP correction, DST, manual reset) must not shed
+requests early, expire cache entries, or distort latency percentiles.
+These tests pin that down with injected fake clocks and a source audit.
 """
 
+import asyncio
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.serve import MicroBatcher, ResultCache
+from repro.base import BaseSegmenter
+from repro.core.rgb_segmenter import IQFTSegmenter
+from repro.engine import BatchSegmentationEngine
+from repro.errors import DeadlineExceededError
+from repro.serve import AsyncSegmentationService, ResultCache
 
 
 class FakeClock:
@@ -51,48 +56,79 @@ def test_no_wall_clock_on_the_serve_path():
     assert not rendered, "wall-clock reads on the serve path:\n" + "\n".join(rendered)
 
 
+class GatedSegmenter(BaseSegmenter):
+    """A segmenter that blocks until released."""
+
+    name = "gated"
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def _segment(self, image):
+        self.entered.set()
+        assert self.gate.wait(30.0), "gate never released"
+        return np.zeros(np.asarray(image).shape[:2], dtype=np.int64)
+
+
+def _gated_outcome(clock, deadline, queued_ahead, advance):
+    """Submit with ``deadline`` behind a gated batch; advance ``clock``; release.
+
+    ``queued_ahead`` requests wait in the lanes first; they fill a queue of
+    that size, so with any of them the submit waits for queue space.
+
+    Returns the submit's outcome (a result or the exception it raised).
+    Plenty of *real* time passes before the clock advance, so a service
+    that measured deadlines on the wall clock would still admit it.
+    """
+    segmenter = GatedSegmenter()
+
+    async def scenario():
+        service = AsyncSegmentationService(
+            BatchSegmentationEngine(segmenter),
+            max_batch_size=1,
+            queue_size=max(1, queued_ahead),
+            cache=None,
+            clock=clock,
+        )
+        loop = asyncio.get_running_loop()
+        others = [asyncio.ensure_future(service.submit(np.zeros((4, 4, 3), np.uint8)))]
+        await loop.run_in_executor(None, segmenter.entered.wait, 10.0)
+        others += [
+            asyncio.ensure_future(service.submit(np.full((4, 4, 3), value, np.uint8)))
+            for value in range(1, queued_ahead + 1)
+        ]
+        victim = asyncio.ensure_future(
+            service.submit(np.full((4, 4, 3), 200, np.uint8), deadline=deadline)
+        )
+        await asyncio.sleep(0.15)
+        assert not victim.done(), "settled on wall time instead of the injected clock"
+        clock.advance(advance)
+        segmenter.gate.set()
+        await asyncio.gather(*others)
+        outcome = (await asyncio.gather(victim, return_exceptions=True))[0]
+        await service.aclose()
+        return outcome
+
+    return asyncio.run(scenario())
+
+
 def test_batcher_deadline_flush_follows_the_injected_clock():
-    clock = FakeClock()
-    batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=100.0, clock=clock)
-    batcher.put("item")
-    outcome = {}
-
-    def consume():
-        outcome["batch"] = batcher.next_batch()
-
-    worker = threading.Thread(target=consume, daemon=True)
-    worker.start()
-    time.sleep(0.15)  # plenty of *real* time passes...
-    assert worker.is_alive(), "batch flushed on wall time instead of the injected clock"
-    clock.advance(100.1)  # ...but only the injected clock triggers the deadline
-    worker.join(10.0)
-    assert not worker.is_alive()
-    assert outcome["batch"] == ["item"]
-    assert batcher.stats["flushes"]["deadline"] == 1
-    batcher.close()
+    # Since the flush deadline went (5.0.0), the one deadline a batch drain
+    # applies is the queued request's own: a request queued behind a gated
+    # batch is shed when the injected clock passes it, whatever the wall
+    # clock says.
+    outcome = _gated_outcome(FakeClock(), deadline=100.0, queued_ahead=0, advance=100.1)
+    assert isinstance(outcome, DeadlineExceededError)
 
 
 def test_batcher_put_timeout_follows_the_injected_clock():
-    clock = FakeClock()
-    batcher = MicroBatcher(max_batch_size=1, queue_size=1, clock=clock)
-    batcher.put("fills-the-queue")
-    blocked = {}
-
-    def producer():
-        try:
-            batcher.put("blocked", timeout=50.0)
-        except Exception as exc:  # noqa: BLE001 - recorded for the assertion
-            blocked["error"] = type(exc).__name__
-
-    worker = threading.Thread(target=producer, daemon=True)
-    worker.start()
-    time.sleep(0.15)
-    assert worker.is_alive(), "put timed out on wall time instead of the injected clock"
-    clock.advance(51.0)
-    worker.join(10.0)
-    assert not worker.is_alive()
-    assert blocked["error"] == "Full"
-    batcher.close()
+    # A submit blocked on a full queue gives up once its deadline passes on
+    # the injected clock (the bound the old batcher's put timeout gave).
+    outcome = _gated_outcome(FakeClock(), deadline=50.0, queued_ahead=1, advance=51.0)
+    assert isinstance(outcome, DeadlineExceededError)
+    assert "waiting for queue space" in str(outcome)
 
 
 def test_cache_ttl_expires_on_injected_clock_only():
@@ -119,25 +155,21 @@ def test_cache_ttl_is_immune_to_wall_clock_jumps(monkeypatch):
 
 
 def test_service_latency_and_uptime_follow_the_injected_clock(rng):
-    import numpy as np
-
-    from repro.core.rgb_segmenter import IQFTSegmenter
-    from repro.engine import BatchSegmentationEngine
-    from repro.serve import SegmentationService
-
     clock = FakeClock()
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
-    service = SegmentationService(engine, max_wait_seconds=0.001, clock=clock)
-    try:
-        image = (rng.random((10, 12, 3)) * 255).astype(np.uint8)
-        service.submit(image).result(timeout=30)
-        # the request completed while the injected clock stood still, so its
-        # recorded latency must be exactly zero — real elapsed time must not
-        # leak into the percentiles
-        latency = service.metrics()["latency_seconds"]
-        assert latency["count"] == 1.0
-        assert latency["max"] == 0.0
-        clock.advance(7.0)
-        assert service.metrics()["uptime_seconds"] == pytest.approx(7.0)
-    finally:
-        service.close()
+    image = (rng.random((10, 12, 3)) * 255).astype(np.uint8)
+
+    async def scenario():
+        async with AsyncSegmentationService(engine, clock=clock) as service:
+            await service.submit(image)
+            # the request completed while the injected clock stood still, so
+            # its recorded latency must be exactly zero — real elapsed time
+            # must not leak into the percentiles
+            latency = service.metrics()["latency_seconds"]
+            clock.advance(7.0)
+            return latency, service.metrics()["uptime_seconds"]
+
+    latency, uptime = asyncio.run(scenario())
+    assert latency["count"] == 1.0
+    assert latency["max"] == 0.0
+    assert uptime == pytest.approx(7.0)
