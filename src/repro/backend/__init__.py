@@ -1,12 +1,12 @@
 """Pluggable array-compute backends for the segmentation engine.
 
-The engine's hot paths — LUT gather, palette dedup, the chunked complex
-matmul — dispatch through an :class:`ArrayBackend`, so the same public API
-runs on plain NumPy (the always-available reference), torch, or CuPy
-without forking any call surface.  See :mod:`repro.backend.base` for the
-kernel contract and the per-backend exactness guarantees (integer kernels
-bit-exact, float kernels tolerance-exact), and the README's "Writing a
-backend" guide for the extension recipe.
+The engine's LUT fast paths — the table gather and the palette dedup —
+dispatch through an :class:`ArrayBackend`, so the same public API runs on
+plain NumPy (the always-available reference) or torch without forking any
+call surface.  Both kernels are integer and bit-exact on every backend; the
+float kernel of equation (11) lives in the classifier.  See
+:mod:`repro.backend.base` for the kernel contract and the README's "Writing
+a backend" guide for the extension recipe.
 
 Quick start
 -----------

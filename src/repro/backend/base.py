@@ -1,44 +1,30 @@
-"""The :class:`ArrayBackend` contract: compute kernels the engine dispatches to.
+"""The :class:`ArrayBackend` contract: integer kernels the engine dispatches to.
 
-The segmentation engine's hot paths reduce to three array kernels — an
-integer table gather (the LUT fast path), an integer dedup (the RGB palette
-path), and the complex phase/IQFT matrix product (the exact classifier).  A
-backend is an object that implements those kernels on some substrate (NumPy
-on the host, a CUDA device through CuPy, any device torch can drive) behind
-one uniform, host-array-in / host-array-out signature, so the engine, the
-serving stack and the caches never see device arrays.
+The segmentation engine's LUT fast paths reduce to two integer array
+kernels — a table gather (the value and palette LUT apply) and a dedup
+(the RGB palette path).  A backend is an object that implements those
+kernels on some substrate (NumPy on the host, any device torch can drive)
+behind one uniform, host-array-in / host-array-out signature, so the
+engine, the serving stack and the caches never see device arrays.
 
 Exactness contract
 ------------------
-Every backend MUST satisfy, and the parity suite
-(``tests/test_backend_parity.py``) enforces:
+Every backend kernel is integer and **bit-exact**: :meth:`ArrayBackend.gather`
+and :meth:`ArrayBackend.unique_inverse` must return results bit-identical to
+the NumPy reference — same values, same dtype, same ordering
+(``unique_inverse`` returns the unique values in ascending order, like
+:func:`numpy.unique`).  There is no tolerance, and the parity suite
+(``tests/test_backend_parity.py``) enforces it on every available backend.
 
-* **Integer kernels are bit-exact.**  :meth:`ArrayBackend.gather` and
-  :meth:`ArrayBackend.unique_inverse` operate on integer arrays and must
-  return results bit-identical to the NumPy reference — same values, same
-  dtype, same ordering (``unique_inverse`` returns the unique values in
-  ascending order, like :func:`numpy.unique`).  There is no tolerance: the
-  LUT fast path's promise is "bit-identical to the matrix path", and that
-  promise must hold on every backend.
-* **Float kernels are tolerance-exact.**  :meth:`ArrayBackend.phase_amplitudes`
-  may reassociate sums and fuse multiplies, so its output is only required
-  to match the reference within :attr:`ArrayBackend.float_rtol` /
-  :attr:`ArrayBackend.float_atol` (documented per backend, asserted by the
-  parity suite).  Backends whose float kernels are bit-identical to the
-  reference (the NumPy backend itself) set :attr:`bit_exact_float` so the
-  engine-config digest can treat them as result-invariant.
-
-Because integer kernels are bit-exact everywhere, switching backends never
-changes the labels produced by the LUT fast paths — which is why the serving
-caches deliberately exclude the backend name from the engine-config digest
-(warm caches survive a backend switch, and mixed-backend fleets share one
-cache).  Float compute is only routed through a non-reference backend when
-the engine is explicitly configured for it (``float_compute="backend"``),
-and in that case the digest *does* incorporate the backend identity.
+The float kernel of equation (11) is not a backend kernel: it lives in
+:meth:`repro.core.classifier.IQFTClassifier.amplitudes`, which every path
+shares.  So switching backends never changes any label, and the serving
+caches leave the backend out of the engine-config digest (warm caches
+survive a backend switch, and mixed-backend fleets share one cache).
 
 Writing a backend
 -----------------
-Subclass :class:`ArrayBackend`, implement the three kernels plus
+Subclass :class:`ArrayBackend`, implement the two kernels plus
 :meth:`is_available`, and register a factory with
 :func:`repro.backend.register_backend`.  Keep imports of the optional
 dependency inside the class or factory so the registry can *list* the
@@ -67,18 +53,8 @@ class ArrayBackend(abc.ABC):
     amortize over large blocks.
     """
 
-    #: Registry name (``"numpy"``, ``"torch"``, ``"cupy"``, ...).
+    #: Registry name (``"numpy"``, ``"torch"``, ...).
     name: str = "abstract"
-
-    #: True when the float kernels are bit-identical to the NumPy reference
-    #: (then the backend can never change any result and is invisible to the
-    #: engine-config digest even for float compute).
-    bit_exact_float: bool = False
-
-    #: Documented parity tolerances for :meth:`phase_amplitudes` against the
-    #: NumPy reference; the parity suite asserts them.
-    float_rtol: float = 1e-9
-    float_atol: float = 1e-12
 
     # ------------------------------------------------------------------ #
     # availability / identity
@@ -94,7 +70,7 @@ class ArrayBackend(abc.ABC):
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly identity: name, device, substrate version."""
-        return {"name": self.name, "device": "cpu", "bit_exact_float": self.bit_exact_float}
+        return {"name": self.name, "device": "cpu"}
 
     # ------------------------------------------------------------------ #
     # kernels
@@ -117,20 +93,6 @@ class ArrayBackend(abc.ABC):
         Equivalent to ``np.unique(codes, return_inverse=True)`` for a 1-D
         integer array: unique values ascending, ``unique[inverse]`` rebuilds
         ``codes`` exactly, ``inverse`` is 1-D of the same length.
-        """
-
-    @abc.abstractmethod
-    def phase_amplitudes(
-        self, phases: np.ndarray, bits: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        """The classifier's float kernel (tolerance contract).
-
-        Computes ``exp(1j · phases @ bits.T) @ matrix / matrix.shape[0]`` —
-        the equation-(11) amplitudes for one chunk: ``phases`` is ``(N, n)``
-        float64, ``bits`` the ``(2^n, n)`` basis bit matrix, ``matrix`` the
-        ``(2^n, 2^n)`` symmetric IQFT classification matrix.  Returns an
-        ``(N, 2^n)`` complex128 host array matching the NumPy reference
-        within :attr:`float_rtol` / :attr:`float_atol`.
         """
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,8 @@
 """The NumPy reference backend: the exactness oracle every other backend chases.
 
-This backend *is* the semantics of the kernel contract — its integer kernels
-are NumPy fancy indexing and :func:`numpy.unique`, and its float kernel is
-the fixed-order accumulation the classifier has always used (see the BLAS
-rounding note inside :meth:`NumpyBackend.phase_amplitudes`).  The parity
-suite compares every other backend against this one.
+This backend *is* the semantics of the kernel contract — its kernels are
+NumPy fancy indexing and :func:`numpy.unique`.  The parity suite compares
+every other backend against this one.
 """
 
 from __future__ import annotations
@@ -22,21 +20,13 @@ class NumpyBackend(ArrayBackend):
     """Host-side reference implementation of the kernel contract."""
 
     name = "numpy"
-    bit_exact_float = True
-    float_rtol = 0.0
-    float_atol = 0.0
 
     @classmethod
     def is_available(cls) -> bool:
         return True
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "device": "cpu",
-            "substrate": f"numpy {np.__version__}",
-            "bit_exact_float": True,
-        }
+        return {"name": self.name, "device": "cpu", "substrate": f"numpy {np.__version__}"}
 
     # ------------------------------------------------------------------ #
     def gather(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -45,21 +35,3 @@ class NumpyBackend(ArrayBackend):
     def unique_inverse(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         unique, inverse = np.unique(np.asarray(codes), return_inverse=True)
         return unique, np.asarray(inverse).reshape(-1)
-
-    def phase_amplitudes(
-        self, phases: np.ndarray, bits: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        block = np.exp(1j * (np.asarray(phases, dtype=np.float64) @ bits.T))
-        dim = matrix.shape[0]
-        out = np.empty((block.shape[0], dim), dtype=np.complex128)
-        # amp_j = (1/N) Σ_k F_k · ω^{-jk}; W is symmetric so F @ W works
-        # row-wise without a transpose.  The sum over k is accumulated in
-        # fixed column order rather than via np.matmul: BLAS gemm kernels
-        # round differently depending on the batch size N, which would make
-        # the LUT tables (built over a fixed 256-value ramp) differ in the
-        # last ulp from direct segmentation of arbitrary-size images.
-        np.multiply(block[:, :1], matrix[0], out=out)
-        for k in range(1, dim):
-            out += block[:, k : k + 1] * matrix[k]
-        out *= 1.0 / dim
-        return out

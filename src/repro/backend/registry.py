@@ -7,11 +7,12 @@ Selection precedence, lowest to highest:
    this is what a fleet supervisor exports for accelerator hosts);
 3. an explicit ``backend=`` argument to the engine / CLI ``--backend``.
 
-Optional backends (torch, CuPy) register *factories*, not instances, and
-availability is probed lazily — listing backends never imports an optional
-dependency that is not installed, and asking for an unavailable one raises
-:class:`~repro.errors.ParameterError` naming every registered alternative
-(so the CLI error message is self-documenting).
+The optional torch backend, like any third-party backend, registers a
+*factory*, not an instance, and availability is probed lazily — listing
+backends never imports an optional dependency that is not installed, and
+asking for an unavailable one raises :class:`~repro.errors.ParameterError`
+naming every registered alternative (so the CLI error message is
+self-documenting).
 """
 
 from __future__ import annotations
@@ -142,13 +143,11 @@ def resolve_backend(backend: Union[ArrayBackend, str, None]) -> ArrayBackend:
 
 
 def _register_builtins() -> None:
-    from .cupy_backend import CupyBackend
     from .numpy_backend import NumpyBackend
     from .torch_backend import TorchBackend
 
     register_backend("numpy", NumpyBackend, probe=NumpyBackend.is_available)
     register_backend("torch", TorchBackend, probe=TorchBackend.is_available)
-    register_backend("cupy", CupyBackend, probe=CupyBackend.is_available)
 
 
 _register_builtins()

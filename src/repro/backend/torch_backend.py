@@ -5,14 +5,10 @@ imports cleanly without torch — :meth:`TorchBackend.is_available` reports
 ``False`` and the registry skips the backend (skip-not-fail) — so the core
 library keeps zero hard dependencies beyond NumPy.
 
-Exactness: the integer kernels (``gather``, ``unique_inverse``) are pure
+Exactness: both kernels (``gather``, ``unique_inverse``) are pure
 index/sort operations and stay bit-identical to the NumPy reference on every
 device, so LUT segmentation through this backend produces byte-for-byte the
-labels of the reference path.  The float kernel lets torch fuse and
-reassociate the complex matmul, so amplitudes match the reference only
-within the documented tolerances (``float_rtol``/``float_atol``) — which is
-why the engine routes float compute here only when explicitly asked to
-(``float_compute="backend"``).
+labels of the reference path.
 """
 
 from __future__ import annotations
@@ -49,11 +45,6 @@ class TorchBackend(ArrayBackend):  # pragma: no cover - exercised on the CI torc
     """
 
     name = "torch"
-    bit_exact_float = False
-    #: Complex128 matmul reassociation across BLAS/cuBLAS kernels; measured
-    #: deviations are ~1e-15 relative, the bound leaves two orders of slack.
-    float_rtol = 1e-12
-    float_atol = 1e-13
 
     def __init__(self, device: Any = None):
         if torch is None:
@@ -71,7 +62,6 @@ class TorchBackend(ArrayBackend):  # pragma: no cover - exercised on the CI torc
             "name": self.name,
             "device": str(self._device),
             "substrate": f"torch {torch.__version__}",
-            "bit_exact_float": False,
         }
 
     # ------------------------------------------------------------------ #
@@ -89,16 +79,6 @@ class TorchBackend(ArrayBackend):  # pragma: no cover - exercised on the CI torc
         tensor = self._to_device(np.asarray(codes).reshape(-1))
         unique, inverse = torch.unique(tensor, sorted=True, return_inverse=True)
         return unique.cpu().numpy(), inverse.cpu().numpy().reshape(-1)
-
-    def phase_amplitudes(
-        self, phases: np.ndarray, bits: np.ndarray, matrix: np.ndarray
-    ) -> np.ndarray:
-        phase = self._to_device(np.asarray(phases, dtype=np.float64))
-        bit_matrix = self._to_device(np.asarray(bits, dtype=np.float64))
-        w = self._to_device(np.ascontiguousarray(matrix))
-        block = torch.exp(1j * (phase @ bit_matrix.T)).to(torch.complex128)
-        amps = (block @ w) / matrix.shape[0]
-        return amps.cpu().numpy()
 
     # ------------------------------------------------------------------ #
     def cost_hints(self) -> Dict[str, float]:

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--backend", default=None, metavar="NAME[,NAME...]",
-        help="array backend for the engine kernels (numpy/torch/cupy; "
+        help="array backend for the engine's integer kernels (numpy/torch; "
         "default: $REPRO_BACKEND or numpy).  With --workers, a "
         "comma-separated list assigns backends round-robin across worker "
         "slots — labels stay bit-identical, so the mixed fleet shares one "

@@ -9,7 +9,9 @@ phase encoding on top.
 
 The implementation is fully vectorized: a batch of ``N`` samples requires a
 single ``(N, 2^n) @ (2^n, 2^n)`` complex matrix product, processed in chunks
-to bound peak memory (see ``chunk_pixels`` in :mod:`repro.config`).
+to bound peak memory (see ``chunk_pixels`` in :mod:`repro.config`).  This is
+the one float kernel of the library: every path — value LUT, palette,
+tiled, direct, delta — labels through it, so they all agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,20 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.base import ArrayBackend
 from ..config import get_config
 from ..errors import ParameterError, ShapeError
 from .iqft_matrix import basis_bit_matrix, iqft_classification_matrix
 
 __all__ = ["IQFTClassifier"]
-
-
-def _reference_backend() -> ArrayBackend:
-    # Deferred: keeps the (tiny) registry import off the module-load path of
-    # every core import without making callers pass a backend explicitly.
-    from ..backend.registry import get_backend
-
-    return get_backend("numpy")
 
 
 class IQFTClassifier:
@@ -45,21 +38,9 @@ class IQFTClassifier:
     chunk_size:
         Maximum number of samples per internal matrix product.  ``None`` uses
         the library default (:func:`repro.config.get_config`).
-    backend:
-        An :class:`~repro.backend.base.ArrayBackend` to run the float kernel
-        on, or ``None`` (default) for the bit-exact NumPy reference.  The
-        reference is deliberately *not* overridable through the environment:
-        a non-reference backend changes float results within its documented
-        tolerance, so routing compute there is an explicit decision made by
-        the engine (``float_compute="backend"``), never ambient state.
     """
 
-    def __init__(
-        self,
-        num_qubits: int = 3,
-        chunk_size: Optional[int] = None,
-        backend: Optional[ArrayBackend] = None,
-    ):
+    def __init__(self, num_qubits: int = 3, chunk_size: Optional[int] = None):
         if num_qubits < 1:
             raise ParameterError("num_qubits must be >= 1")
         self._num_qubits = int(num_qubits)
@@ -70,28 +51,6 @@ class IQFTClassifier:
         self._matrix = iqft_classification_matrix(self._num_qubits)
         self._bits = basis_bit_matrix(self._num_qubits)
         self._chunk_size = chunk_size
-        self._backend = self._checked_backend(backend)
-
-    @staticmethod
-    def _checked_backend(backend: Optional[ArrayBackend]) -> Optional[ArrayBackend]:
-        if backend is not None and not isinstance(backend, ArrayBackend):
-            raise ParameterError("backend must be an ArrayBackend instance or None")
-        return backend
-
-    def use_backend(self, backend: Optional[ArrayBackend]) -> None:
-        """Route the float kernel through ``backend`` (``None`` = reference).
-
-        The integer/label contract is unaffected — labels remain the argmax
-        of the probabilities this classifier computes, with NumPy's
-        tie-breaking — but amplitudes are then only tolerance-exact (see the
-        backend's ``float_rtol``/``float_atol``).
-        """
-        self._backend = self._checked_backend(backend)
-
-    @property
-    def backend(self) -> Optional[ArrayBackend]:
-        """The kernel backend, or ``None`` for the built-in NumPy reference."""
-        return self._backend
 
     # ------------------------------------------------------------------ #
     @property
@@ -142,17 +101,21 @@ class IQFTClassifier:
         arr = self._as_batch(phases, self._num_qubits)
         out = np.empty((arr.shape[0], self._dim), dtype=np.complex128)
         chunk = self._effective_chunk()
-        # The kernel (phase vectors + fixed-order accumulation against W)
-        # lives on the backend; the reference keeps the historical bit-exact
-        # order, adapters trade that for device throughput within their
-        # documented tolerance.  Chunking stays here so every backend sees
-        # the same bounded working set.
-        kernel = self._backend if self._backend is not None else _reference_backend()
+        matrix, dim = self._matrix, self._dim
         for start in range(0, arr.shape[0], chunk):
             stop = min(start + chunk, arr.shape[0])
-            out[start:stop] = kernel.phase_amplitudes(
-                arr[start:stop], self._bits, self._matrix
-            )
+            block = np.exp(1j * (arr[start:stop] @ self._bits.T))
+            amps = out[start:stop]
+            # amp_j = (1/N) Σ_k F_k · ω^{-jk}; W is symmetric so F @ W works
+            # row-wise without a transpose.  The sum over k is accumulated in
+            # fixed column order rather than via np.matmul: BLAS gemm kernels
+            # round differently depending on the batch size N, which would make
+            # the LUT tables (built over a fixed 256-value ramp) differ in the
+            # last ulp from direct segmentation of arbitrary-size images.
+            np.multiply(block[:, :1], matrix[0], out=amps)
+            for k in range(1, dim):
+                amps += block[:, k : k + 1] * matrix[k]
+            amps *= 1.0 / dim
         if np.asarray(phases).ndim == 1:
             return out[0]
         return out

@@ -13,6 +13,12 @@ library.  For each image it picks the cheapest *exact* evaluation strategy:
    engine's executor; the per-pixel rule makes stitching loss-free.
 3. **Direct matrix path** — everything else runs the segmenter unchanged.
 
+For the IQFT methods every strategy labels through the one exact classifier
+of eq. (11) (:class:`~repro.core.classifier.IQFTClassifier`).  The engine's
+:class:`~repro.backend.ArrayBackend` runs only the LUT paths' integer
+kernels, which are bit-exact on every backend, so the backend never changes
+a label.
+
 On top of the per-image strategy the engine exposes ``map(images, gts)``,
 which scatters a whole batch over the executor and returns one
 :class:`~repro.core.pipeline.PipelineResult` per image using the pipeline's
@@ -56,8 +62,6 @@ DEFAULT_AUTO_TILE_PIXELS = 4_194_304
 DEFAULT_STREAM_WINDOW = 32
 
 _TILING_MODES = ("auto", "always", "never")
-
-_FLOAT_COMPUTE_MODES = ("exact", "backend")
 
 #: Sentinel distinguishing "companion iterator exhausted" from a None item.
 _EXHAUSTED = object()
@@ -128,18 +132,12 @@ class BatchSegmentationEngine:
         serial executor (deterministic, no processes).
     backend:
         The :class:`~repro.backend.base.ArrayBackend` running the engine's
-        array kernels — a backend instance, a registered name (``"numpy"``,
-        ``"torch"``, ``"cupy"``), or ``None`` for the process default (the
-        ``REPRO_BACKEND`` environment variable, falling back to ``"numpy"``).
-        Integer kernels (LUT gather, palette dedup) are bit-exact on every
-        backend, so switching backends never changes labels.
-    float_compute:
-        ``"exact"`` (default) keeps the float classifier kernel on the
-        bit-exact NumPy reference regardless of ``backend`` — accelerators
-        then serve only the memory-bound integer fast paths.  ``"backend"``
-        routes the float kernel through ``backend`` too, trading bit-exact
-        reproducibility for device throughput within the backend's documented
-        ``float_rtol``/``float_atol``.
+        integer kernels (LUT gather, palette dedup) — a backend instance, a
+        registered name (``"numpy"``, ``"torch"``), or ``None`` for the
+        process default (the ``REPRO_BACKEND`` environment variable, falling
+        back to ``"numpy"``).  Those kernels are bit-exact on every backend
+        and the float kernel of eq. (11) always runs in the classifier, so
+        switching backends never changes labels.
     """
 
     def __init__(
@@ -153,7 +151,6 @@ class BatchSegmentationEngine:
         auto_tile_pixels: int = DEFAULT_AUTO_TILE_PIXELS,
         executor: Optional[BaseExecutor] = None,
         backend: Optional[Union[str, ArrayBackend]] = None,
-        float_compute: str = "exact",
     ):
         self.pipeline = SegmentationPipeline(
             segmenter, to_grayscale=to_grayscale, target_shape=target_shape
@@ -167,33 +164,12 @@ class BatchSegmentationEngine:
             raise ParameterError("auto_tile_pixels must be positive")
         if executor is not None and not isinstance(executor, BaseExecutor):
             raise ParameterError("executor must be a BaseExecutor instance")
-        if float_compute not in _FLOAT_COMPUTE_MODES:
-            raise ParameterError(
-                f"float_compute must be one of {_FLOAT_COMPUTE_MODES}, got {float_compute!r}"
-            )
         self.use_lut = bool(use_lut)
         self.tiling = tiling
         self.tile_shape = (th, tw)
         self.auto_tile_pixels = int(auto_tile_pixels)
         self.executor = executor if executor is not None else SerialExecutor()
         self.backend = resolve_backend(backend)
-        self.float_compute = float_compute
-        if float_compute == "backend":
-            self._wire_float_backend(self.pipeline.segmenter, self.backend)
-
-    @staticmethod
-    def _wire_float_backend(segmenter: BaseSegmenter, backend: ArrayBackend) -> None:
-        # Explicit opt-in only: the classifier refuses ambient backend
-        # selection, so "backend" float mode is wired here, at the one place
-        # the trade-off (throughput vs bit-exactness) is a named parameter.
-        classifier = getattr(segmenter, "_classifier", None)
-        use = getattr(classifier, "use_backend", None)
-        if use is None:
-            raise ParameterError(
-                f"float_compute='backend' requires a segmenter with a backend-aware "
-                f"classifier; {type(segmenter).__name__} has none"
-            )
-        use(backend)
 
     @classmethod
     def from_pipeline(
@@ -205,7 +181,6 @@ class BatchSegmentationEngine:
         auto_tile_pixels: int = DEFAULT_AUTO_TILE_PIXELS,
         executor: Optional[BaseExecutor] = None,
         backend: Optional[Union[str, ArrayBackend]] = None,
-        float_compute: str = "exact",
     ) -> "BatchSegmentationEngine":
         """Wrap an existing pipeline (shared preprocessing and scoring)."""
         if not isinstance(pipeline, SegmentationPipeline):
@@ -218,7 +193,6 @@ class BatchSegmentationEngine:
             auto_tile_pixels=auto_tile_pixels,
             executor=executor,
             backend=backend,
-            float_compute=float_compute,
         )
         engine.pipeline = pipeline
         return engine
@@ -228,20 +202,6 @@ class BatchSegmentationEngine:
     def segmenter(self) -> BaseSegmenter:
         """The wrapped segmentation method."""
         return self.pipeline.segmenter
-
-    @property
-    def backend_invariant(self) -> bool:
-        """True when every result this engine produces is backend-independent.
-
-        Integer fast paths are bit-exact on every backend by contract, so the
-        engine's outputs depend on the backend only when the *float* kernel
-        was explicitly routed there (``float_compute="backend"``) on a backend
-        that does not guarantee bit-exact floats.  Cache keying relies on
-        this: invariant engines share warm cache entries across backends (and
-        across a mixed-backend fleet), so switching backends never cold-starts
-        the cache.
-        """
-        return self.float_compute == "exact" or self.backend.bit_exact_float
 
     def describe(self) -> Dict[str, Any]:
         """A JSON-friendly description of the engine configuration."""
@@ -254,7 +214,6 @@ class BatchSegmentationEngine:
                 "auto_tile_pixels": self.auto_tile_pixels,
                 "executor": self.executor.name,
                 "backend": self.backend.name,
-                "float_compute": self.float_compute,
             }
         )
         return info

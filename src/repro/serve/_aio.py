@@ -247,18 +247,24 @@ def _traced_get(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Opt
     return cache.get(key)
 
 
-def _cache_get(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
-    """Cache probe recording a ``cache.probe`` span (tier spans nested).
+def _recheck_cache(cache: Any, key: CacheKey, trace: Optional[Trace] = None) -> Optional[Any]:
+    """The batch pipeline's cache re-check, in a ``cache.probe`` span (tier spans nested).
 
-    Runs on an executor thread (the batch pipeline's re-check).
+    Runs on an executor thread.  The request's lookup was counted at
+    admission, so the library's own caches are asked for membership first,
+    which counts nothing, and looked up (and counted) only on a hit.  Any
+    other cache gets a plain lookup: a wrapper may rely on seeing each key
+    twice.  The split goes by type, as in :func:`_admission_probes`.
     """
     if cache is None:
         return None
-    if trace is None:
-        return cache.get(key)
-    start = trace.clock()
-    value = _traced_get(cache, key, trace)
-    trace.add("cache.probe", start, trace.clock(), hit=value is not None)
+    start = trace.clock() if trace is not None else 0.0
+    if isinstance(cache, (ResultCache, TieredResultCache)) and key not in cache:
+        value = None
+    else:
+        value = _traced_get(cache, key, trace)
+    if trace is not None:
+        trace.add("cache.probe", start, trace.clock(), hit=value is not None)
     return value
 
 
@@ -348,7 +354,7 @@ def process_batch(
     for key, requests in groups.items():
         # Re-check the cache: a request that missed at admission may have
         # been computed by an earlier batch while it sat in the queue.
-        cached = _cache_get(cache, key, requests[0].trace)
+        cached = _recheck_cache(cache, key, requests[0].trace)
         if cached is not None:
             outcomes += _score_group(engine, requests, *cached, cache_hit=True)
         elif delta is not None and requests[0].stream_id is not None:
@@ -1312,7 +1318,6 @@ class AsyncSegmentationService:
             "response_formats": ["application/json", "application/x-npy"],
             "backend": self.engine.backend.name,
             "backends": backend_status(),
-            "float_compute": self.engine.float_compute,
             "config_digest": self._config_digest,
             "delta_streams": self._delta is not None and self._delta.supports_delta,
         }

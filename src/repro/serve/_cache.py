@@ -111,32 +111,20 @@ def engine_fingerprint(engine: Any) -> Dict[str, Any]:
     fields of an attached noise model.  :func:`config_digest` of it is the
     second half of every cache key.
 
-    Backend identity enters the digest **only when it can change results**
-    (``engine.backend_invariant`` is False).  Integer fast paths are bit-exact
-    on every backend and the float kernel stays on the exact reference unless
-    explicitly routed elsewhere, so for invariant engines the backend is
-    scrubbed: warm cache tiers survive a backend switch, and a mixed-backend
-    fleet shares one cache without ever serving divergent labels.
+    Backend identity never enters the digest: a backend runs only integer
+    kernels, bit-exact on every backend, and the float kernel lives in the
+    classifier.  So warm cache tiers survive a backend switch, and a
+    mixed-backend fleet shares one cache without ever serving divergent
+    labels.
     """
     fingerprint = dict(engine.describe())
     fingerprint.pop("backend", None)
-    fingerprint.pop("float_compute", None)
-    invariant = bool(getattr(engine, "backend_invariant", True))
-    if not invariant:
-        fingerprint["float_backend"] = engine.backend.name
     segmenter = engine.segmenter
     fingerprint["segmenter_class"] = type(segmenter).__qualname__
-    params = {
+    fingerprint["segmenter_params"] = {
         attr: _fingerprint_value(value, depth=1)
         for attr, value in sorted(vars(segmenter).items())
     }
-    if invariant:
-        # The classifier's wired backend shows up in the attribute walk as a
-        # type name; results are backend-independent here, so drop it.
-        for value in params.values():
-            if isinstance(value, dict) and "_backend" in value:
-                value["_backend"] = None
-    fingerprint["segmenter_params"] = params
     return fingerprint
 
 

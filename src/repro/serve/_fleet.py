@@ -124,15 +124,13 @@ class WorkerSpec:
     log_format: str = "text"
     trace_sample_rate: float = 1.0
     trace_ring: int = 256
-    #: Array backend the worker's engine runs its kernels on (a registered
-    #: name: "numpy", "torch", "cupy"; ``None`` = process default, i.e. the
-    #: ``REPRO_BACKEND`` environment variable or "numpy").  Fleets may mix
-    #: backends per worker — integer fast paths are bit-exact everywhere, so
-    #: a heterogeneous fleet still serves identical answers from one shared
-    #: cache.  ``float_compute="backend"`` additionally routes the float
-    #: kernel to the backend (tolerance-exact; splits the cache key).
+    #: Array backend the worker's engine runs its integer kernels on (a
+    #: registered name: "numpy", "torch"; ``None`` = process default, i.e.
+    #: the ``REPRO_BACKEND`` environment variable or "numpy").  Fleets may
+    #: mix backends per worker — every backend kernel is bit-exact, so a
+    #: heterogeneous fleet still serves identical answers from one shared
+    #: cache.
     backend: Optional[str] = None
-    float_compute: str = "exact"
     #: Dirty-tile incremental path for temporal streams (requests carrying
     #: ``X-Repro-Stream-Id``): only tiles changed since the stream's previous
     #: frame are re-segmented, bit-identical to a full recompute.
@@ -196,7 +194,6 @@ class WorkerSpec:
             use_lut=self.use_lut,
             executor=executor_for_jobs(self.executor, self.jobs),
             backend=self.backend,
-            float_compute=self.float_compute,
         )
         return AsyncSegmentationService(
             engine,

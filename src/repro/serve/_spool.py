@@ -243,7 +243,10 @@ async def run_jobs_async(
     also writes ``<out_dir>/<stem>.json``; a later job whose file stem
     repeats an earlier one's (``x.png`` and ``x.ppm``, or ``a/x.png`` and
     ``b/x.png``) writes ``<stem>-1.json``, ``<stem>-2.json``, ... in job
-    order.  Every result file is on disk when the coroutine returns.
+    order.  A job is finished (entry recorded, result file queued for the
+    writer) as soon as its request and every earlier job's are done, even
+    while the job iterable blocks, as a watched spool does between files.
+    Every result file is on disk when the coroutine returns.
     """
     if max_pending is None:
         max_pending = 2 * service.queue_size
@@ -277,7 +280,18 @@ async def run_jobs_async(
     ahead = deque(loop.run_in_executor(reader, _read_next, job_iter) for _ in range(READ_AHEAD))
     try:
         while True:
-            job, image = await ahead.popleft()
+            next_read = ahead.popleft()
+            # While the next job is not decoded yet (a watched spool polls
+            # for it), finish the pending jobs whose requests are done,
+            # oldest first, so each result lands as soon as it can.
+            while pending and not next_read.done():
+                if not pending[0][2].done():
+                    await asyncio.wait(
+                        (next_read, pending[0][2]), return_when=asyncio.FIRST_COMPLETED
+                    )
+                if pending[0][2].done():
+                    await _finish(*pending.popleft())
+            job, image = await next_read
             if job is None:
                 break
             ahead.append(loop.run_in_executor(reader, _read_next, job_iter))

@@ -242,6 +242,48 @@ def test_iter_spool_jobs_serves_files_spooled_before_the_stop_file(tmp_path, rng
     assert sorted(job.id for job in jobs) == ["a.png", "b.png"]
 
 
+def test_run_jobs_async_writes_a_result_while_the_job_source_blocks(tmp_path, rng):
+    """A finished job's result file lands while run_jobs_async awaits the next job.
+
+    The source yields one job, then blocks, as a watched spool does between
+    files.  The test always releases it, so it cannot hang.
+    """
+    import asyncio
+    import threading
+    import time
+
+    from repro import BatchSegmentationEngine, IQFTSegmenter
+    from repro.serve import AsyncSegmentationService, Job, run_jobs_async
+
+    write_image(tmp_path / "a.png", (rng.random((8, 8, 3)) * 255).astype(np.uint8))
+    result_file = tmp_path / "results" / "a.json"
+    release = threading.Event()
+
+    def jobs():
+        yield Job(id="a.png", path=str(tmp_path / "a.png"))
+        release.wait(timeout=60)
+
+    async def scenario():
+        engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
+        async with AsyncSegmentationService(engine) as service:
+            run = asyncio.ensure_future(
+                run_jobs_async(service, jobs(), out_dir=str(tmp_path / "results"))
+            )
+            try:
+                deadline = time.monotonic() + 10
+                while not result_file.exists() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                written_while_blocked = result_file.exists()
+            finally:
+                release.set()
+            return written_while_blocked, await run
+
+    written_while_blocked, entries = asyncio.run(scenario())
+    assert written_while_blocked
+    assert [entry["id"] for entry in entries] == ["a.png"]
+    assert json.loads(result_file.read_text())["id"] == "a.png"
+
+
 def test_serve_watch_accepts_poll_seconds_flag(tmp_path, rng):
     spool_dir = tmp_path / "spool"
     _make_spool(spool_dir, rng, count=2)

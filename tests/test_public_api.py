@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
     assert "__version__" in repro.__all__
 
 

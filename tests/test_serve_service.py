@@ -529,3 +529,64 @@ def test_a_queued_submit_keeps_the_bytes_it_was_given(rng):
     assert np.array_equal(repeat.labels, result.labels)
     assert overwritten.segmentation.extras["cache_hit"] is False
     assert np.array_equal(overwritten.labels, reference.segment(buffer).labels)
+
+
+# --------------------------------------------------------------------------- #
+# cache accounting: one lookup per request
+# --------------------------------------------------------------------------- #
+def test_a_memory_cache_counts_one_lookup_per_request(rng):
+    images = [_image(rng) for _ in range(4)]
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine()) as service:
+            await service.map(images)  # cold: each request misses once
+            await service.map(images)  # warm: each request hits once
+            return service.metrics()["cache"]
+
+    cache = asyncio.run(scenario())
+    assert (cache["hits"], cache["misses"]) == (4, 4)
+    assert cache["hit_rate"] == pytest.approx(0.5)
+
+
+def test_each_tier_counts_one_lookup_per_request_that_reached_it(rng):
+    images = [_image(rng) for _ in range(4)]
+    l1, shm, l2 = ResultCache(max_entries=8), ResultCache(max_entries=8), ResultCache(8)
+    tiered = TieredResultCache(l1=l1, l2=l2, shm=shm)
+
+    def lookups():
+        return [tier.stats.hits + tier.stats.misses for tier in (l1, shm, l2)]
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine(), cache=tiered) as service:
+            await service.map(images)
+            cold = lookups()
+            await service.map(images)
+            return cold, lookups()
+
+    cold, warm = asyncio.run(scenario())
+    assert cold == [4, 4, 4]  # every cold request fell through every tier once
+    assert warm == [8, 4, 4]  # warm requests stop at L1
+
+
+def test_any_other_cache_is_rechecked_with_get(rng):
+    """Guard: a cache of another type still sees a second get per computed key."""
+    image = _image(rng)
+    wrapped = ForwardingCache(ResultCache(max_entries=4))
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine(), cache=wrapped) as service:
+            return await service.submit(image)
+
+    result = asyncio.run(scenario())
+    assert result.segmentation.extras["cache_hit"] is False
+    assert len(wrapped.probe_threads) == 2  # the admission probe and the re-check
+
+
+def test_the_serve_quickstart_reports_half_its_requests_as_hits(capsys):
+    import pathlib
+    import runpy
+
+    example = pathlib.Path(__file__).resolve().parents[1] / "examples" / "serve_quickstart.py"
+    runpy.run_path(str(example), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("cache hit rate 50% (4 hits / 4 misses)") == 2, out
