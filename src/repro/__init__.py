@@ -26,7 +26,7 @@ Quick start
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: Public name → implementation module (relative to this package).  Resolved
 #: on first attribute access (PEP 562): ``import repro`` does not pull in the

@@ -35,7 +35,7 @@ are internal to the backend; the contract is purely functional.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class ArrayBackend(abc.ABC):
         Must be cheap and must never raise: a missing optional dependency or
         an absent device returns ``False`` (skip-not-fail).
         """
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-friendly identity: name, device, substrate version."""
-        return {"name": self.name, "device": "cpu"}
 
     # ------------------------------------------------------------------ #
     # kernels

@@ -7,7 +7,7 @@ every other backend against this one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class NumpyBackend(ArrayBackend):
     @classmethod
     def is_available(cls) -> bool:
         return True
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "device": "cpu", "substrate": f"numpy {np.__version__}"}
 
     # ------------------------------------------------------------------ #
     def gather(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -57,13 +57,6 @@ class TorchBackend(ArrayBackend):  # pragma: no cover - exercised on the CI torc
     def is_available(cls) -> bool:
         return torch is not None
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "device": str(self._device),
-            "substrate": f"torch {torch.__version__}",
-        }
-
     # ------------------------------------------------------------------ #
     def _to_device(self, arr: np.ndarray) -> "torch.Tensor":
         return torch.from_numpy(_writable(arr)).to(self._device)

@@ -125,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-batch", type=int, default=16, help="largest micro-batch")
     srv.add_argument("--queue-size", type=int, default=64, help="bounded ingress queue capacity")
     srv.add_argument("--cache-size", type=int, default=256, help="result cache entries (LRU)")
-    srv.add_argument(
-        "--ttl", type=float, default=None,
-        help="result cache time-to-live in seconds (with --cache-dir it "
-        "applies to the disk tier as well)",
-    )
     srv.add_argument("--no-cache", action="store_true", help="disable the result cache")
     srv.add_argument(
         "--cache-dir", default=None,
@@ -589,7 +584,6 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
         max_batch_size=args.max_batch,
         queue_size=args.queue_size,
         cache_entries=args.cache_size,
-        ttl_seconds=args.ttl,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         lane_weights=_parse_lane_weights(args.lane_weights) if args.lane_weights else None,
@@ -619,6 +613,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
     """Drive a supervised worker fleet until SIGINT/SIGTERM, then drain."""
     import signal
     import threading
+    import time
 
     from .serve import ServeFleet
 
@@ -660,7 +655,12 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
         )
         for slot, pid in sorted(fleet.describe_fleet()["pids"].items()):
             print(f"http-serve: worker slot={slot} pid={pid}", file=sys.stderr, flush=True)
-        stop.wait()
+        # Poll, not stop.wait(): the kernel may hand the signal to another
+        # thread (the fleet monitor, a BLAS worker), and its Python handler
+        # then runs only when the main thread next executes bytecode, which
+        # a thread blocked in stop.wait() never does.
+        while not stop.is_set():
+            time.sleep(0.1)
         print("http-serve: draining fleet...", file=sys.stderr, flush=True)
         fleet.shutdown(drain=True)
         metrics = fleet.final_metrics()

@@ -34,7 +34,6 @@ from .classifier import IQFTClassifier
 from .lut import (
     grayscale_label_lut,
     grayscale_probability_lut,
-    rgb_palette_label_lut,
     lut_eligible,
     lut_cache_info,
     clear_lut_cache,
@@ -86,7 +85,6 @@ __all__ = [
     "IQFTGrayscaleSegmenter",
     "grayscale_label_lut",
     "grayscale_probability_lut",
-    "rgb_palette_label_lut",
     "lut_eligible",
     "lut_cache_info",
     "clear_lut_cache",

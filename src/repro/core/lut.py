@@ -11,15 +11,17 @@ segmenter (same normalization, same phase encoding, same chunked matmul, same
 argmax tie-breaking), the fast path is bit-identical to the matrix path — the
 property tests in ``tests/test_engine_lut_property.py`` assert exactly that.
 
-This module owns the table construction and its LRU cache; the segmenters
-expose the fast path through their ``labels_from_lut`` hooks and
+This module owns the value-table construction and its LRU cache, plus the
+colour-code helpers of the RGB palette path (which classifies each image's
+own palette and caches nothing across images); the segmenters expose the
+fast path through their ``labels_from_lut`` hooks and
 :class:`repro.engine.BatchSegmentationEngine` decides when to take it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +30,8 @@ from ..errors import ParameterError
 
 __all__ = [
     "DEFAULT_NUM_LEVELS",
-    "MAX_CACHED_PALETTE_COLORS",
     "grayscale_label_lut",
     "grayscale_probability_lut",
-    "rgb_palette_label_lut",
     "lut_eligible",
     "apply_lut",
     "unique_codes",
@@ -39,17 +39,10 @@ __all__ = [
     "unpack_rgb_codes",
     "lut_cache_info",
     "clear_lut_cache",
-    "LutCacheInfo",
 ]
 
 #: Number of distinct raw values covered by a default lookup table (8-bit).
 DEFAULT_NUM_LEVELS = 256
-
-#: Largest palette (distinct 24-bit colours) kept in the cross-image cache.
-#: Bigger palettes are still classified exactly, just not retained: one cache
-#: entry stores 8 bytes per colour for the key plus 8 per label, so the cap
-#: bounds the cache at ~32 MiB even when every slot holds a worst-case entry.
-MAX_CACHED_PALETTE_COLORS = 65536
 
 
 # --------------------------------------------------------------------------- #
@@ -214,112 +207,14 @@ def grayscale_probability_lut(
     return probs
 
 
-# --------------------------------------------------------------------------- #
-# RGB palette tables (cross-image: keyed on the palette itself)
-# --------------------------------------------------------------------------- #
-ThetaTriple = Union[float, Sequence[float]]
-
-
-@functools.lru_cache(maxsize=32)
-def _rgb_palette_tables(
-    thetas: Tuple[float, float, float],
-    normalize: bool,
-    max_value: float,
-    dtype_str: str,
-    palette_bytes: bytes,
-) -> np.ndarray:
-    # Local import: the RGB segmenter imports this module for its hook.
-    from .rgb_segmenter import IQFTSegmenter
-
-    segmenter = IQFTSegmenter(thetas=thetas, normalize=normalize, max_value=max_value)
-    codes = np.frombuffer(palette_bytes, dtype=np.int64)
-    # Rebuild the colour rows in the original raw dtype so they take the exact
-    # same normalization branch as the full image would.
-    colors = unpack_rgb_codes(codes).astype(np.dtype(dtype_str)).reshape(-1, 1, 3)
-    phases = segmenter._phases(colors).reshape(-1, 3)
-    labels = segmenter._classifier.classify(phases).astype(np.int64)
-    labels.flags.writeable = False
-    return labels
-
-
-def _normalized_thetas(thetas: ThetaTriple) -> Tuple[float, float, float]:
-    # Reuse the segmenter's own validation so the cache key and the exact
-    # path can never disagree on what a valid θ triple is.
-    from .rgb_segmenter import IQFTSegmenter
-
-    return IQFTSegmenter._validate_thetas(thetas)
-
-
-def rgb_palette_label_lut(
-    thetas: ThetaTriple,
-    palette: np.ndarray,
-    normalize: bool = True,
-    max_value: float = 255.0,
-    dtype: Union[str, np.dtype, type] = np.uint8,
-) -> np.ndarray:
-    """Labels for a palette of packed 24-bit colour codes, cached across images.
-
-    ``palette`` is a 1-D array of :func:`pack_rgb_codes` codes (the distinct
-    colours of an image, in any order).  The table is keyed on
-    ``(θ1, θ2, θ3, normalize, max_value, dtype, palette bytes)`` so two
-    different images sharing a palette — synthetic scenes, screenshots,
-    label-like imagery, video frames — classify the colours once and hit the
-    LRU thereafter.  ``dtype`` must be the raw storage dtype of the source
-    image: it selects the normalization branch (uint8 always divides by 255,
-    wider integers divide by ``max_value``).  Entries are exact classifier
-    output and read-only; :func:`lut_cache_info` reports hits/misses.
-    """
-    thetas = _normalized_thetas(thetas)
-    if max_value <= 0:
-        raise ParameterError("max_value must be positive")
-    codes = np.ascontiguousarray(np.asarray(palette, dtype=np.int64).reshape(-1))
-    if codes.size == 0:
-        raise ParameterError("palette must contain at least one colour code")
-    if int(codes.min()) < 0 or int(codes.max()) >= (1 << 24):
-        raise ParameterError("palette codes must be packed 24-bit values")
-    return _rgb_palette_tables(
-        thetas,
-        bool(normalize),
-        float(max_value),
-        str(np.dtype(dtype)),
-        codes.tobytes(),
-    )
-
-
-class LutCacheInfo(NamedTuple):
-    """Aggregate cache statistics across the value and palette table caches.
-
-    The first four fields mirror :class:`functools` ``CacheInfo`` (summed over
-    both caches) so existing callers keep working; ``grayscale`` and
-    ``palette`` carry the individual ``CacheInfo`` of each table cache.
-    """
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-    grayscale: object
-    palette: object
-
-
-def lut_cache_info() -> LutCacheInfo:
-    """Hit/miss statistics of the shared table caches (value + palette)."""
-    gray = _grayscale_tables.cache_info()
-    pal = _rgb_palette_tables.cache_info()
-    return LutCacheInfo(
-        hits=gray.hits + pal.hits,
-        misses=gray.misses + pal.misses,
-        maxsize=(gray.maxsize or 0) + (pal.maxsize or 0),
-        currsize=gray.currsize + pal.currsize,
-        grayscale=gray,
-        palette=pal,
-    )
+def lut_cache_info():
+    """The value-table cache's :mod:`functools` ``CacheInfo`` (hits, misses, sizes)."""
+    return _grayscale_tables.cache_info()
 
 
 def clear_lut_cache() -> None:
-    """Drop every cached lookup table (used by tests and benchmarks)."""
+    """Drop every cached value table (used by tests and benchmarks)."""
     _grayscale_tables.cache_clear()
-    _rgb_palette_tables.cache_clear()
 
 
 # --------------------------------------------------------------------------- #

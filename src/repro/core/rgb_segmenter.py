@@ -23,15 +23,7 @@ import numpy as np
 from ..base import BaseSegmenter
 from ..errors import ParameterError, ShapeError
 from .classifier import IQFTClassifier
-from .lut import (
-    MAX_CACHED_PALETTE_COLORS,
-    apply_lut,
-    lut_eligible,
-    pack_rgb_codes,
-    rgb_palette_label_lut,
-    unique_codes,
-    unpack_rgb_codes,
-)
+from .lut import apply_lut, lut_eligible, pack_rgb_codes, unique_codes, unpack_rgb_codes
 from .phase_encoding import DEFAULT_THETA, normalize_pixels, pixel_phases
 
 __all__ = ["IQFTSegmenter"]
@@ -167,7 +159,8 @@ class IQFTSegmenter(BaseSegmenter):
         final per-pixel gather are integer kernels under the bit-exact
         contract, so an :class:`~repro.backend.base.ArrayBackend` offloads
         the memory-bound halves while the per-*colour* classification stays
-        on the exact reference path.  Non-integer or out-of-range input
+        on the exact reference path.  Every call classifies its own palette;
+        nothing is cached across images.  Non-integer or out-of-range input
         returns ``None`` (callers fall back to the matrix path), as does
         ``store_probabilities`` mode: the fast path computes no per-pixel
         probability maps, so it must not swallow that contract.  Diagnostics
@@ -182,29 +175,16 @@ class IQFTSegmenter(BaseSegmenter):
             return None
         codes = pack_rgb_codes(arr)
         palette, inverse = unique_codes(codes, backend=backend)
-        cacheable = palette.size <= MAX_CACHED_PALETTE_COLORS
-        if cacheable:
-            # Cross-image cache: identical palettes (synthetic scenes, video
-            # frames, label imagery) classify their colours exactly once.
-            palette_labels = rgb_palette_label_lut(
-                self._thetas,
-                palette,
-                normalize=self.normalize,
-                max_value=self.max_value,
-                dtype=arr.dtype,
-            )
-        else:
-            # Preserve the raw dtype so the palette rows take the exact same
-            # normalization branch as the full image would.
-            colors = unpack_rgb_codes(palette).astype(arr.dtype).reshape(-1, 1, 3)
-            phases = self._phases(colors).reshape(-1, self._classifier.num_qubits)
-            palette_labels = self._classifier.classify(phases)
+        # Preserve the raw dtype so the palette rows take the exact same
+        # normalization branch as the full image would.
+        colors = unpack_rgb_codes(palette).astype(arr.dtype).reshape(-1, 1, 3)
+        phases = self._phases(colors).reshape(-1, self._classifier.num_qubits)
+        palette_labels = self._classifier.classify(phases)
         info = {
             "thetas": self._thetas,
             "normalize": self.normalize,
             "fast_path": "palette-lut",
             "palette_size": int(palette.size),
-            "palette_cached": cacheable,
         }
         self._last_extras = info
         if extras is not None:

@@ -29,7 +29,6 @@ from ..core.lut import (
     lut_cache_info,
     lut_eligible,
     pack_rgb_codes,
-    rgb_palette_label_lut,
     unpack_rgb_codes,
 )
 from ..core.pipeline import PipelineResult, SegmentationPipeline
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_NUM_LEVELS",
     "grayscale_label_lut",
     "grayscale_probability_lut",
-    "rgb_palette_label_lut",
     "lut_eligible",
     "lut_cache_info",
     "clear_lut_cache",

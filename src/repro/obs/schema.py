@@ -223,7 +223,6 @@ METRICS: Tuple[Metric, ...] = (
     Metric("cache.{tier}.hits", total, "counter", "cache_hits_total", "Cache hits."),
     Metric("cache.{tier}.misses", total, "counter", "cache_misses_total", "Cache misses."),
     Metric("cache.{tier}.evictions", total, "counter", "cache_evictions_total", "Entries evicted (LRU)."),
-    Metric("cache.{tier}.expirations", total, "counter", "cache_expirations_total", "Entries expired (TTL)."),
     Metric("cache.{tier}.stores", total, "counter", "cache_puts_total", "Entries written."),
     Metric("cache.{tier}.store_skips", total, "counter", "cache_rejects_total", "Writes rejected (oversized / contended)."),
     Metric("cache.{tier}.hit_bytes", total, "counter", "cache_hit_bytes_total", "Payload bytes returned by cache hits."),

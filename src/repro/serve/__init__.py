@@ -5,7 +5,7 @@ for request/response traffic:
 
 * :class:`AsyncSegmentationService` — the one serving core:
   ``await submit(image, priority=..., deadline=..., client_id=...)`` with a
-  content-addressed :class:`ResultCache` in front of the engine (LRU + TTL
+  content-addressed :class:`ResultCache` in front of the engine (an LRU
   keyed by image digest + engine-config digest; in-memory hits are answered
   on the event loop), work-conserving micro-batching (an idle worker drains
   at once; batches form only under backlog, and identical images in a batch

@@ -158,14 +158,3 @@ class AdaptiveController:
                 changed = True
 
         return self.batch_size, dict(self.lane_weights), changed
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly controller state for metric snapshots."""
-        return {
-            "ticks": self.ticks,
-            "batch_adjustments": self.batch_adjustments,
-            "weight_adjustments": self.weight_adjustments,
-            "batch_size": self.batch_size,
-            "lane_weights": {str(lane): weight for lane, weight in self.lane_weights.items()},
-            "lane_floors": {str(lane): weight for lane, weight in self.lane_floors.items()},
-        }

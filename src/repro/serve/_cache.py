@@ -1,4 +1,4 @@
-"""Content-addressed result cache: LRU + TTL keyed by image digest + config.
+"""Content-addressed result cache: an LRU keyed by image digest + config.
 
 The IQFT segmenters are pure functions of ``(image, θ, config)``, which makes
 their output perfectly cacheable: two byte-identical images under the same
@@ -8,7 +8,7 @@ exploits that with a content-addressed store — keys are
 answer repeated inputs without recomputation, regardless of which request or
 file they arrived through.
 
-The cache is a plain thread-safe LRU with optional TTL expiry.  Values are
+The cache is a plain thread-safe, size-bounded LRU.  Values are
 whatever the caller stores (the service stores the per-image
 :class:`~repro.base.SegmentationResult`, *not* the scored
 :class:`~repro.core.pipeline.PipelineResult`, so one cached segmentation
@@ -20,10 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -236,7 +235,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int
-    expirations: int
     currsize: int
     maxsize: int
 
@@ -252,7 +250,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "currsize": self.currsize,
             "maxsize": self.maxsize,
             "hit_rate": self.hit_rate,
@@ -260,38 +257,23 @@ class CacheStats:
 
 
 class ResultCache:
-    """Thread-safe LRU + TTL cache addressed by content digests.
+    """Thread-safe LRU cache addressed by content digests.
 
     Parameters
     ----------
     max_entries:
         Capacity; the least-recently-used entry is evicted on overflow.
-    ttl_seconds:
-        Optional time-to-live.  Entries older than this are treated as misses
-        (and dropped) when looked up.  ``None`` disables expiry.
-    clock:
-        Monotonic time source, injectable for deterministic TTL tests.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ParameterError("max_entries must be >= 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ParameterError("ttl_seconds must be positive or None")
         self.max_entries = int(max_entries)
-        self.ttl_seconds = float(ttl_seconds) if ttl_seconds is not None else None
-        self._clock = clock
-        self._entries: "OrderedDict[CacheKey, Tuple[Any, float]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._expirations = 0
 
     # ------------------------------------------------------------------ #
     #: The serve layer passes ``get(key, trace=...)`` when this is set.
@@ -302,19 +284,12 @@ class ResultCache:
         return (image_digest(image), config)
 
     def get(self, key: CacheKey, trace: Any = None) -> Optional[Any]:
-        """The cached value, or ``None`` on miss/expiry (which counts a miss)."""
+        """The cached value, or ``None`` on miss (which counts a miss)."""
         if trace is not None:
             return _probe_tier(self, "cache.memory", key, trace)
-        now = self._clock()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            value, stored_at = entry
-            if self.ttl_seconds is not None and now - stored_at > self.ttl_seconds:
-                del self._entries[key]
-                self._expirations += 1
+            value = self._entries.get(key)
+            if value is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -324,7 +299,7 @@ class ResultCache:
     def put(self, key: CacheKey, value: Any) -> None:
         """Insert/refresh an entry, evicting the LRU entry on overflow."""
         with self._lock:
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -351,16 +326,12 @@ class ResultCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 currsize=len(self._entries),
                 maxsize=self.max_entries,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ResultCache(max_entries={self.max_entries}, "
-            f"ttl_seconds={self.ttl_seconds}, size={len(self)})"
-        )
+        return f"ResultCache(max_entries={self.max_entries}, size={len(self)})"
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,6 @@ class DiskCacheStats:
     stores: int
     evictions: int
     evicted_bytes: int
-    expirations: int
     corrupt_dropped: int
     errors: int
     currsize: int
@@ -148,7 +147,6 @@ class DiskCacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
-            "expirations": self.expirations,
             "corrupt_dropped": self.corrupt_dropped,
             "errors": self.errors,
             "currsize": self.currsize,
@@ -229,11 +227,6 @@ class DiskResultCache:
         processes may point at the same directory concurrently.
     max_entries, max_bytes:
         Capacity bounds; exceeding either evicts the oldest entries by mtime.
-    ttl_seconds:
-        Optional time-to-live since an entry was *stored* (wall clock, read
-        from the timestamp persisted inside the entry — the only clock that
-        is meaningful across process restarts).  Expired entries are deleted
-        on lookup and counted as expirations.  ``None`` disables expiry.
 
     Values are ``(SegmentationResult, binary)`` pairs exactly as the
     in-memory :class:`~repro.serve.ResultCache` stores them, so the two
@@ -245,18 +238,14 @@ class DiskResultCache:
         cache_dir: str,
         max_entries: int = 4096,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        ttl_seconds: Optional[float] = None,
     ):
         if max_entries < 1:
             raise ParameterError("max_entries must be >= 1")
         if max_bytes < 1:
             raise ParameterError("max_bytes must be >= 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ParameterError("ttl_seconds must be positive or None")
         self.cache_dir = str(cache_dir)
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self.ttl_seconds = float(ttl_seconds) if ttl_seconds is not None else None
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
         except OSError as exc:
@@ -273,7 +262,6 @@ class DiskResultCache:
         self._stores = 0
         self._evictions = 0
         self._evicted_bytes = 0
-        self._expirations = 0
         self._corrupt_dropped = 0
         self._errors = 0
         # Approximate footprint, resynced from a real scan periodically and
@@ -303,7 +291,6 @@ class DiskResultCache:
                 extras[attr] = converted
         meta = {
             "format": "repro-disk-cache/v1",
-            "stored_at": time.time(),  # wall clock: survives restarts/reboots
             "num_segments": int(segmentation.num_segments),
             "runtime_seconds": float(segmentation.runtime_seconds),
             "method": str(segmentation.method),
@@ -319,7 +306,7 @@ class DiskResultCache:
         return buffer.getvalue()
 
     @staticmethod
-    def _decode(payload: bytes) -> Tuple[SegmentationResult, np.ndarray, float]:
+    def _decode(payload: bytes) -> Tuple[SegmentationResult, np.ndarray]:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             labels = np.asarray(archive["labels"])
             binary = np.asarray(archive["binary"])
@@ -333,7 +320,9 @@ class DiskResultCache:
             method=str(meta["method"]),
             extras=dict(meta["extras"]),
         )
-        return segmentation, binary, float(meta.get("stored_at", 0.0))
+        # Entries written before 7.0.0 also carry a "stored_at" field; it is
+        # ignored, so they still read as hits.
+        return segmentation, binary
 
     # ------------------------------------------------------------------ #
     # cache protocol
@@ -359,21 +348,12 @@ class DiskResultCache:
                 self._errors += 1
             return None
         try:
-            segmentation, binary, stored_at = self._decode(payload)
+            segmentation, binary = self._decode(payload)
         except Exception:  # noqa: BLE001 - any corrupt entry is just a miss
             with self._stats_lock:
                 self._misses += 1
                 self._errors += 1
                 self._corrupt_dropped += 1
-            self._drop_entry(path, len(payload))
-            return None
-        # Age clamped at 0: after a backwards wall-clock step an entry can
-        # carry a stored_at from the "future"; it is then simply fresh, not
-        # a source of negative ages that would distort the expiry stats.
-        if self.ttl_seconds is not None and max(0.0, time.time() - stored_at) > self.ttl_seconds:
-            with self._stats_lock:
-                self._misses += 1
-                self._expirations += 1
             self._drop_entry(path, len(payload))
             return None
         try:
@@ -557,7 +537,6 @@ class DiskResultCache:
                 stores=self._stores,
                 evictions=self._evictions,
                 evicted_bytes=self._evicted_bytes,
-                expirations=self._expirations,
                 corrupt_dropped=self._corrupt_dropped,
                 errors=self._errors,
                 currsize=len(rows),

@@ -100,7 +100,6 @@ class WorkerSpec:
     max_batch_size: int = 16
     queue_size: int = 256
     cache_entries: int = 256
-    ttl_seconds: Optional[float] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
     lane_weights: Optional[Dict[str, int]] = None
@@ -162,11 +161,11 @@ class WorkerSpec:
 
         if not self.use_cache:
             return None
-        memory = ResultCache(max_entries=self.cache_entries, ttl_seconds=self.ttl_seconds)
+        memory = ResultCache(max_entries=self.cache_entries)
         shm = None
         if self.shm_name:
             try:
-                shm = SharedMemoryResultCache.attach(self.shm_name, ttl_seconds=self.ttl_seconds)
+                shm = SharedMemoryResultCache.attach(self.shm_name)
             except CacheError:
                 # /dev/shm gone, segment unlinked, or an alien superblock:
                 # the worker degrades to memory + disk rather than failing.
@@ -176,10 +175,7 @@ class WorkerSpec:
                 return memory
             # No disk tier: the shm ring itself is the shared L2.
             return TieredResultCache(l1=memory, l2=shm)
-        # The TTL must govern the lower tiers too — otherwise expired L1
-        # entries would simply be re-promoted from a never-expiring L2.
-        disk = DiskResultCache(self.cache_dir, ttl_seconds=self.ttl_seconds)
-        return TieredResultCache(l1=memory, l2=disk, shm=shm)
+        return TieredResultCache(l1=memory, l2=DiskResultCache(self.cache_dir), shm=shm)
 
     def build_service(self):
         """Construct the full async service stack this spec describes."""
@@ -578,7 +574,6 @@ class ServeFleet:
             self._shm_cache = SharedMemoryResultCache.create(
                 self.spec.shm_bytes,
                 slot_bytes=self.spec.shm_slot_bytes or DEFAULT_SLOT_BYTES,
-                ttl_seconds=self.spec.ttl_seconds,
             )
         except CacheError as exc:
             self._shm_desc = {"enabled": False, "error": str(exc)}

@@ -17,7 +17,7 @@ Design
 * **seqlock validation** — every slot carries a generation counter: a writer
   bumps it to an *odd* value before touching the slot, writes the payload,
   and publishes by storing the next *even* value together with the key
-  digest, payload length, a CRC-32 of the payload, and the store timestamp.
+  digest, payload length and a CRC-32 of the payload.
   A reader snapshots the header, copies the payload out, then re-reads the
   generation: any concurrent writer makes the generations disagree and the
   read degrades to a miss (counted in ``torn_reads``).  Two *writers* racing
@@ -46,7 +46,6 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -71,15 +70,16 @@ _NAME_PREFIX = "repro-shm-"
 _FORMAT = "repro-shm-cache/v1"
 
 #: Superblock: magic, version, slot_count, slot_bytes (padded to 64 bytes).
+#: Version 2 dropped the slot header's store timestamp; ``attach`` refuses a
+#: segment of any other version.
 _MAGIC = b"RPROSHM\x00"
+_VERSION = 2
 _SUPER = struct.Struct("<8sIIQ")
 _SUPER_SIZE = 64
 
-#: Slot header: generation, key digest, payload length, CRC-32, stored_at
-#: monotonic timestamp — same-host by construction, so ``time.monotonic()``
-#: values are comparable across the fleet's processes (padded to 64 bytes
-#: so payloads start aligned).
-_HEADER = struct.Struct("<Q32sIId")
+#: Slot header: generation, key digest, payload length, CRC-32 (padded to
+#: 64 bytes so payloads start aligned).
+_HEADER = struct.Struct("<Q32sII")
 _HEADER_SIZE = 64
 _GEN = struct.Struct("<Q")
 
@@ -111,7 +111,6 @@ class ShmCacheStats:
     store_skips: int
     evictions: int
     torn_reads: int
-    expirations: int
     errors: int
     currsize: int
     slot_count: int
@@ -135,7 +134,6 @@ class ShmCacheStats:
             "store_skips": self.store_skips,
             "evictions": self.evictions,
             "torn_reads": self.torn_reads,
-            "expirations": self.expirations,
             "errors": self.errors,
             "currsize": self.currsize,
             "slot_count": self.slot_count,
@@ -160,15 +158,11 @@ class SharedMemoryResultCache:
         owner: bool,
         slot_count: int,
         slot_bytes: int,
-        ttl_seconds: Optional[float] = None,
     ):
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ParameterError("ttl_seconds must be positive or None")
         self._shm = shm
         self._owner = bool(owner)
         self.slot_count = int(slot_count)
         self.slot_bytes = int(slot_bytes)
-        self.ttl_seconds = float(ttl_seconds) if ttl_seconds is not None else None
         self._closed = False
         # In-process writers serialize per cache; cross-process writer races
         # remain possible and are what the CRC in the slot header is for.
@@ -181,7 +175,6 @@ class SharedMemoryResultCache:
         self._store_skips = 0
         self._evictions = 0
         self._torn_reads = 0
-        self._expirations = 0
         self._errors = 0
 
     # ------------------------------------------------------------------ #
@@ -194,7 +187,6 @@ class SharedMemoryResultCache:
         *,
         name: Optional[str] = None,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
-        ttl_seconds: Optional[float] = None,
     ) -> "SharedMemoryResultCache":
         """Create and own a fresh segment sized for ``size_bytes`` in total.
 
@@ -219,19 +211,11 @@ class SharedMemoryResultCache:
         # A fresh POSIX segment is zero-filled, so every slot already reads
         # as empty (even generation 0, payload length 0); only the
         # superblock needs writing.
-        _SUPER.pack_into(shm.buf, 0, _MAGIC, 1, slot_count, int(slot_bytes))
-        return cls(
-            shm,
-            owner=True,
-            slot_count=slot_count,
-            slot_bytes=int(slot_bytes),
-            ttl_seconds=ttl_seconds,
-        )
+        _SUPER.pack_into(shm.buf, 0, _MAGIC, _VERSION, slot_count, int(slot_bytes))
+        return cls(shm, owner=True, slot_count=slot_count, slot_bytes=int(slot_bytes))
 
     @classmethod
-    def attach(
-        cls, name: str, *, ttl_seconds: Optional[float] = None
-    ) -> "SharedMemoryResultCache":
+    def attach(cls, name: str) -> "SharedMemoryResultCache":
         """Attach to an existing segment (a worker joining the fleet's ring).
 
         Raises :class:`~repro.errors.CacheError` when the segment does not
@@ -259,7 +243,7 @@ class SharedMemoryResultCache:
             resource_tracker.register = original_register
         try:
             magic, version, slot_count, slot_bytes = _SUPER.unpack_from(shm.buf, 0)
-            if magic != _MAGIC or version != 1:
+            if magic != _MAGIC or version != _VERSION:
                 raise CacheError(f"segment {name!r} is not a repro shm cache")
             if _SUPER_SIZE + slot_count * slot_bytes > shm.size or slot_count < 1:
                 raise CacheError(f"segment {name!r} has an inconsistent superblock")
@@ -268,13 +252,7 @@ class SharedMemoryResultCache:
             if isinstance(exc, CacheError):
                 raise
             raise CacheError(f"segment {name!r} has no readable superblock") from exc
-        return cls(
-            shm,
-            owner=False,
-            slot_count=int(slot_count),
-            slot_bytes=int(slot_bytes),
-            ttl_seconds=ttl_seconds,
-        )
+        return cls(shm, owner=False, slot_count=int(slot_count), slot_bytes=int(slot_bytes))
 
     @property
     def name(self) -> str:
@@ -376,7 +354,7 @@ class SharedMemoryResultCache:
         base = self._slot_base(digest)
         buf = self._shm.buf
         try:
-            gen, stored_digest, payload_len, crc, stored_at = _HEADER.unpack_from(buf, base)
+            gen, stored_digest, payload_len, crc = _HEADER.unpack_from(buf, base)
         except (struct.error, ValueError):  # pragma: no cover - mapping gone
             with self._stats_lock:
                 self._misses += 1
@@ -401,16 +379,6 @@ class SharedMemoryResultCache:
             with self._stats_lock:
                 self._misses += 1
                 self._torn_reads += 1
-            return None
-        # Monotonic, and same-host by construction (the segment cannot be
-        # shared across machines), so ages are directly comparable across
-        # worker processes; the clamp is pure defence against a garbage
-        # stored_at that still passed the CRC.
-        age = max(0.0, time.monotonic() - stored_at)
-        if self.ttl_seconds is not None and age > self.ttl_seconds:
-            with self._stats_lock:
-                self._misses += 1
-                self._expirations += 1
             return None
         try:
             value = self._decode(payload)
@@ -449,7 +417,7 @@ class SharedMemoryResultCache:
         evicted = False
         try:
             with self._write_lock:
-                gen, old_digest, old_len, _, _ = _HEADER.unpack_from(buf, base)
+                gen, old_digest, old_len, _ = _HEADER.unpack_from(buf, base)
                 evicted = old_len > 0 and not (gen & 1) and old_digest != digest
                 start_gen = gen + 1 + (gen & 1)  # next odd: write in progress
                 _GEN.pack_into(buf, base, start_gen)
@@ -464,7 +432,7 @@ class SharedMemoryResultCache:
                 # Publish: even generation + digest + length + CRC, in one
                 # header store (a reader racing this pack sees a CRC/payload
                 # mismatch and degrades to a miss).
-                _HEADER.pack_into(buf, base, start_gen + 1, digest, total, crc, time.monotonic())
+                _HEADER.pack_into(buf, base, start_gen + 1, digest, total, crc)
         except (ValueError, struct.error, BufferError):  # pragma: no cover - mapping gone
             with self._stats_lock:
                 self._errors += 1
@@ -483,7 +451,7 @@ class SharedMemoryResultCache:
             for index in range(self.slot_count):
                 base = _SUPER_SIZE + index * self.slot_bytes
                 (gen,) = _GEN.unpack_from(buf, base)
-                _HEADER.pack_into(buf, base, gen + 2 + (gen & 1), b"\x00" * 32, 0, 0, 0.0)
+                _HEADER.pack_into(buf, base, gen + 2 + (gen & 1), b"\x00" * 32, 0, 0)
 
     def _live_slots(self) -> int:
         if self._closed:
@@ -492,7 +460,7 @@ class SharedMemoryResultCache:
         live = 0
         for index in range(self.slot_count):
             base = _SUPER_SIZE + index * self.slot_bytes
-            gen, _, payload_len, _, _ = _HEADER.unpack_from(buf, base)
+            gen, _, payload_len, _ = _HEADER.unpack_from(buf, base)
             if payload_len > 0 and not (gen & 1):
                 live += 1
         return live
@@ -505,7 +473,7 @@ class SharedMemoryResultCache:
             return False
         digest = _key_digest(key)
         base = self._slot_base(digest)
-        gen, stored_digest, payload_len, _, _ = _HEADER.unpack_from(self._shm.buf, base)
+        gen, stored_digest, payload_len, _ = _HEADER.unpack_from(self._shm.buf, base)
         return payload_len > 0 and not (gen & 1) and stored_digest == digest
 
     @property
@@ -521,7 +489,6 @@ class SharedMemoryResultCache:
                 store_skips=self._store_skips,
                 evictions=self._evictions,
                 torn_reads=self._torn_reads,
-                expirations=self._expirations,
                 errors=self._errors,
                 currsize=currsize,
                 slot_count=self.slot_count,

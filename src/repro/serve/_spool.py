@@ -246,7 +246,8 @@ async def run_jobs_async(
     order.  A job is finished (entry recorded, result file queued for the
     writer) as soon as its request and every earlier job's are done, even
     while the job iterable blocks, as a watched spool does between files.
-    Every result file is on disk when the coroutine returns.
+    Entries are recorded in job order, error entries included.  Every
+    result file is on disk when the coroutine returns.
     """
     if max_pending is None:
         max_pending = 2 * service.queue_size
@@ -255,7 +256,9 @@ async def run_jobs_async(
     loop = asyncio.get_running_loop()
 
     entries: List[Dict[str, Any]] = []
-    pending: deque = deque()  # (job, result-file name or None, task)
+    # (result-file name or None, task resolving to the job's entry), in job
+    # order; a job that failed before submission waits here already settled.
+    pending: deque = deque()
     taken: Set[str] = set()  # result-file names this run has handed out
     # The loop never waits on a file per job: a thread hop per job costs
     # more than the work it carries.  Reads are awaited READ_AHEAD deep;
@@ -264,12 +267,26 @@ async def run_jobs_async(
     writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spool-writer")
     writes: List[Future] = []
 
-    async def _finish(job: Job, name: Optional[str], task) -> None:
+    async def _serve(job: Job, image: np.ndarray) -> Dict[str, Any]:
+        deadline_ms = job.deadline_ms if job.deadline_ms is not None else default_deadline_ms
         try:
-            outcome = await task
+            outcome = await service.submit(
+                image,
+                priority=job.priority,
+                deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
+                client_id=job.client,
+            )
         except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry
             outcome = exc
-        entry = _job_entry(job, outcome)
+        return _job_entry(job, outcome)
+
+    def _settled(entry: Dict[str, Any]) -> "asyncio.Future":
+        future = loop.create_future()
+        future.set_result(entry)
+        return future
+
+    async def _finish(name: Optional[str], task) -> None:
+        entry = await task
         if name is not None and "error" not in entry:
             path = os.path.join(out_dir, f"{name}.json")
             writes.append(writer.submit(_write_entry_file, path, dict(entry)))
@@ -285,33 +302,24 @@ async def run_jobs_async(
             # for it), finish the pending jobs whose requests are done,
             # oldest first, so each result lands as soon as it can.
             while pending and not next_read.done():
-                if not pending[0][2].done():
+                if not pending[0][1].done():
                     await asyncio.wait(
-                        (next_read, pending[0][2]), return_when=asyncio.FIRST_COMPLETED
+                        (next_read, pending[0][1]), return_when=asyncio.FIRST_COMPLETED
                     )
-                if pending[0][2].done():
+                if pending[0][1].done():
                     await _finish(*pending.popleft())
             job, image = await next_read
             if job is None:
                 break
             ahead.append(loop.run_in_executor(reader, _read_next, job_iter))
             if job.error is not None:
-                entries.append({"id": job.id, "file": job.path, "error": job.error})
-                continue
-            if isinstance(image, Exception):
-                entries.append(_job_entry(job, image))
-                continue
-            deadline_ms = job.deadline_ms if job.deadline_ms is not None else default_deadline_ms
-            task = asyncio.ensure_future(
-                service.submit(
-                    image,
-                    priority=job.priority,
-                    deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
-                    client_id=job.client,
-                )
-            )
-            name = _result_name(job, taken) if out_dir is not None else None
-            pending.append((job, name, task))
+                entry = {"id": job.id, "file": job.path, "error": job.error}
+                pending.append((None, _settled(entry)))
+            elif isinstance(image, Exception):
+                pending.append((None, _settled(_job_entry(job, image))))
+            else:
+                name = _result_name(job, taken) if out_dir is not None else None
+                pending.append((name, asyncio.ensure_future(_serve(job, image))))
             while len(pending) >= max_pending:
                 await _finish(*pending.popleft())
         while pending:

@@ -150,6 +150,37 @@ def test_serve_isolates_unreadable_jobs(tmp_path, rng):
     assert not (spool / "results" / "corrupt.json").exists()
 
 
+def test_serve_reports_an_unreadable_job_in_spool_order(tmp_path, rng):
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    write_image(spool / "a.png", (rng.random((20, 24, 3)) * 255).astype(np.uint8))
+    (spool / "b.png").write_bytes(b"not a png")
+    write_image(spool / "c.png", (rng.random((20, 24, 3)) * 255).astype(np.uint8))
+    report_path = tmp_path / "report.json"
+    assert main(["serve", str(spool), "--report", str(report_path)]) == 1
+    jobs = json.loads(report_path.read_text())["jobs"]
+    assert [job["id"] for job in jobs] == ["a.png", "b.png", "c.png"]
+    assert ["error" in job for job in jobs] == [False, True, False]
+
+
+def test_serve_reports_jsonl_jobs_in_line_order(tmp_path, rng, monkeypatch):
+    image_path = tmp_path / "input.png"
+    write_image(image_path, (rng.random((10, 12, 3)) * 255).astype(np.uint8))
+    lines = "\n".join(
+        [
+            json.dumps({"path": str(image_path), "id": "first"}),
+            "this is not json",
+            json.dumps({"path": str(image_path), "id": "third"}),
+        ]
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    report_path = tmp_path / "report.json"
+    assert main(["serve", "-", "--report", str(report_path)]) == 1
+    jobs = json.loads(report_path.read_text())["jobs"]
+    assert [job["id"] for job in jobs] == ["first", "line-2", "third"]
+    assert ["error" in job for job in jobs] == [False, True, False]
+
+
 def test_serve_jsonl_stdin_jobs(tmp_path, rng, monkeypatch, capsys):
     image_path = tmp_path / "input.png"
     write_image(image_path, (rng.random((10, 12, 3)) * 255).astype(np.uint8))
@@ -698,6 +729,68 @@ def test_serve_http_worker_fleet_restarts_and_drains(tmp_path, rng):
     assert report["fleet"]["workers"] == 2
     assert report["metrics"]["completed"] >= 1
     assert report["http"]["draining"] is True
+
+
+def test_serve_fleet_drains_when_another_thread_takes_the_signal(tmp_path):
+    """SIGTERM handled on a thread other than the supervisor's main thread.
+
+    The kernel may hand a process-directed signal to any thread that does
+    not block it (the fleet monitor, a BLAS worker); the relay thread here
+    makes that deterministic with ``pthread_kill`` on itself.
+    """
+    import os
+    import subprocess
+    import sys as _sys
+
+    env = dict(os.environ)
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import signal, sys, threading\n"
+        "def _relay():\n"
+        "    sys.stdin.readline()\n"
+        "    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)\n"
+        "threading.Thread(target=_relay, daemon=True).start()\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    report_path = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [
+            _sys.executable,
+            "-c",
+            code,
+            "serve",
+            "--http",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--no-shm",
+            "--report",
+            str(report_path),
+        ],
+        stdin=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        line = ""
+        for _ in range(100):
+            line = proc.stderr.readline()
+            if not line or "worker slot=" in line:
+                break
+        assert "worker slot=" in line, "fleet never announced its worker"
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        proc.stdin.close()
+        proc.stderr.close()
+    assert json.loads(report_path.read_text())["fleet"]["workers"] == 1
 
 
 def test_serve_fleet_validates_the_spec_in_the_parent(capsys):

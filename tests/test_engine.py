@@ -276,6 +276,18 @@ def test_pack_unpack_rgb_roundtrip(rng):
         pack_rgb_codes(np.zeros((4, 4)))
 
 
+def test_palette_of_65537_colours_labels_like_segment():
+    # One pixel per colour, spread over the whole colour cube: every label
+    # of a palette past 65,536 colours is compared with the matrix path.
+    codes = np.arange(65537, dtype=np.int64) * 255
+    image = unpack_rgb_codes(codes).astype(np.uint8).reshape(-1, 1, 3)
+    segmenter = IQFTSegmenter(thetas=(np.pi, 2 * np.pi, np.pi / 2))
+    extras = {}
+    fast = segmenter.labels_from_lut(image, extras=extras)
+    assert extras["palette_size"] == 65537
+    assert np.array_equal(fast, segmenter.segment(image).labels)
+
+
 # --------------------------------------------------------------------------- #
 # Classifier-level dedup hook
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,9 @@ Equation (15) of the paper says the segmentation rule is a pure function of
 the raw pixel value, so labelling through a per-value table must agree with
 the per-pixel matrix product *exactly* — not approximately — for every image
 and every θ.  Hypothesis searches for counterexamples over random uint8
-images across the paper's angle regimes θ ∈ {π/2, π, 2π, 4π}.
+images across the paper's angle regimes θ ∈ {π/2, π, 2π, 4π}; the RGB
+palette path is also searched over per-channel θ triples, the
+``normalize=False`` ablation and int32 storage.
 """
 
 import numpy as np
@@ -53,6 +55,49 @@ def test_rgb_palette_lut_is_bit_identical(image, theta):
     fast = segmenter.labels_from_lut(image)
     assert fast is not None
     assert np.array_equal(fast, exact)
+
+
+_theta_triples = st.tuples(
+    *[st.sampled_from(_THETAS) | st.floats(0.05, 4 * np.pi, allow_nan=False)] * 3
+)
+
+
+@given(image=_rgb_images, thetas=_theta_triples, normalize=st.booleans(), wide=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rgb_palette_lut_is_bit_identical_per_channel_theta_normalize_and_dtype(
+    image, thetas, normalize, wide
+):
+    # ``wide`` stores the same values as int32, which normalizes by
+    # ``max_value`` instead of 255; ``normalize=False`` is the Figure 5
+    # ablation.  Each combination takes its own normalization branch.
+    if wide:
+        image = image.astype(np.int32)
+    segmenter = IQFTSegmenter(thetas=thetas, normalize=normalize)
+    fast = segmenter.labels_from_lut(image)
+    if wide and normalize and image.max() <= 1:
+        # normalize_pixels reads such an image as already normalized, a
+        # branch a palette of raw codes cannot reproduce: ineligible.
+        assert fast is None
+        return
+    assert fast is not None
+    assert np.array_equal(fast, segmenter.segment(image).labels)
+
+
+@given(
+    image=hnp.arrays(
+        dtype=np.int32,
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(3)),
+        elements=st.integers(0, 1),
+    ),
+    thetas=_theta_triples,
+)
+@settings(max_examples=20, deadline=None)
+def test_int32_image_with_maximum_at_most_one_is_ineligible_under_normalize(image, thetas):
+    assert IQFTSegmenter(thetas=thetas).labels_from_lut(image) is None
+    ablation = IQFTSegmenter(thetas=thetas, normalize=False)
+    fast = ablation.labels_from_lut(image)
+    assert fast is not None
+    assert np.array_equal(fast, ablation.segment(image).labels)
 
 
 @given(image=_gray_images, theta=st.sampled_from(_THETAS), multiband=st.booleans())

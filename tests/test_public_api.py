@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "6.0.0"
+    assert repro.__version__ == "7.0.0"
     assert "__version__" in repro.__all__
 
 
@@ -91,3 +91,42 @@ def test_serve_surface_covers_the_shim_modules_public_names():
     for name in ("ServeFleet", "WorkerSpec", "SegmentClient",
                  "AsyncSegmentationService", "ResultCache"):
         assert hasattr(repro.serve, name), name
+
+
+def test_the_cache_ttl_and_the_cross_image_palette_cache_are_gone(tmp_path):
+    # 7.0.0 deleted both: no cache tier takes a time-to-live, the CLI has
+    # no --ttl, and an RGB image classifies its own palette every time.
+    import numpy as np
+
+    import repro.core.lut
+    from repro import IQFTSegmenter
+
+    with pytest.raises(TypeError):
+        repro.serve.ResultCache(ttl_seconds=5.0)
+    with pytest.raises(TypeError):
+        repro.serve.DiskResultCache(str(tmp_path), ttl_seconds=5.0)
+    shm_cache = repro.serve.SharedMemoryResultCache
+    with pytest.raises(TypeError):
+        shm_cache.create(1 << 20, slot_bytes=1 << 16, ttl_seconds=5.0)
+    owner = shm_cache.create(1 << 20, slot_bytes=1 << 16)
+    try:
+        with pytest.raises(TypeError):
+            shm_cache.attach(owner.name, ttl_seconds=5.0)
+    finally:
+        owner.close()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "-", "--ttl", "5"],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: unrecognized arguments: --ttl" in proc.stderr, proc.stderr
+
+    assert not hasattr(repro.core.lut, "rgb_palette_label_lut")
+    image = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    extras = {}
+    assert IQFTSegmenter(thetas=np.pi).labels_from_lut(image, extras=extras) is not None
+    assert extras["fast_path"] == "palette-lut"
+    assert "palette_cached" not in extras

@@ -7,19 +7,6 @@ from repro.errors import ParameterError
 from repro.serve import ResultCache, config_digest, image_digest
 
 
-class FakeClock:
-    """Deterministic monotonic clock for TTL tests."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 # --------------------------------------------------------------------------- #
 # digests
 # --------------------------------------------------------------------------- #
@@ -49,7 +36,7 @@ def test_config_digest_is_order_insensitive():
 
 
 # --------------------------------------------------------------------------- #
-# LRU + TTL behaviour
+# LRU behaviour
 # --------------------------------------------------------------------------- #
 def test_cache_hit_and_miss_counters():
     cache = ResultCache(max_entries=4)
@@ -74,22 +61,6 @@ def test_cache_evicts_least_recently_used():
     assert cache.stats.evictions == 1
 
 
-def test_cache_ttl_expires_entries():
-    clock = FakeClock()
-    cache = ResultCache(max_entries=4, ttl_seconds=10.0, clock=clock)
-    cache.put(("a", "c"), 1)
-    clock.advance(5.0)
-    assert cache.get(("a", "c")) == 1
-    clock.advance(6.0)  # 11s since the put: expired
-    assert cache.get(("a", "c")) is None
-    stats = cache.stats
-    assert stats.expirations == 1
-    assert stats.currsize == 0
-    # re-inserting after expiry works normally
-    cache.put(("a", "c"), 2)
-    assert cache.get(("a", "c")) == 2
-
-
 def test_cache_key_for_binds_image_and_config(rng):
     cache = ResultCache()
     image = (rng.random((6, 6)) * 255).astype(np.uint8)
@@ -109,7 +80,3 @@ def test_cache_clear_preserves_counters():
 def test_cache_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         ResultCache(max_entries=0)
-    with pytest.raises(ParameterError):
-        ResultCache(ttl_seconds=0)
-    with pytest.raises(ParameterError):
-        ResultCache(ttl_seconds=-1.0)

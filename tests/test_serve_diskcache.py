@@ -86,6 +86,42 @@ def test_entries_survive_a_new_cache_instance(tmp_path, rng):
     assert key in reopened
 
 
+def test_an_entry_in_the_6_0_0_layout_still_reads_as_a_hit(tmp_path, rng):
+    # Up to 6.0.0 every entry's metadata also carried a wall-clock
+    # "stored_at"; the format tag is unchanged and the field is ignored.
+    import io
+    import json
+
+    labels = rng.integers(0, 4, size=(6, 7)).astype(np.int64)
+    binary = (labels == 0).astype(np.uint8)
+    meta = {
+        "format": "repro-disk-cache/v1",
+        "stored_at": 1760000000.0,
+        "num_segments": int(np.unique(labels).size),
+        "runtime_seconds": 0.01,
+        "method": "iqft-rgb",
+        "extras": {"fast_path": "palette-lut"},
+    }
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer,
+        labels=labels,
+        binary=binary,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+    )
+    cache = DiskResultCache(str(tmp_path))
+    key = _key(rng)
+    with open(cache.path_for(key), "wb") as fh:
+        fh.write(buffer.getvalue())
+    loaded = cache.get(key)
+    assert loaded is not None
+    segmentation, loaded_binary = loaded
+    assert np.array_equal(segmentation.labels, labels)
+    assert np.array_equal(loaded_binary, binary)
+    assert segmentation.extras == {"fast_path": "palette-lut"}
+    assert cache.stats.hits == 1
+
+
 # --------------------------------------------------------------------------- #
 # crash safety + corruption tolerance
 # --------------------------------------------------------------------------- #
@@ -161,38 +197,6 @@ def test_byte_bound_is_enforced(tmp_path, rng):
         cache.put(_key(rng, config=f"cfg{i}"), _value(rng))
     assert cache.stats.current_bytes <= cache.max_bytes
     assert cache.stats.evictions >= 1
-
-
-def test_disk_ttl_expires_entries_since_store(tmp_path, rng, monkeypatch):
-    cache = DiskResultCache(str(tmp_path), ttl_seconds=60.0)
-    key = _key(rng)
-    cache.put(key, _value(rng))
-    assert cache.get(key) is not None  # fresh: well within the TTL
-    real_time = time.time
-    monkeypatch.setattr(time, "time", lambda: real_time() + 120.0)
-    assert cache.get(key) is None  # 120s after the store: expired + purged
-    assert cache.stats.expirations == 1
-    assert not os.path.exists(cache.path_for(key))
-    # a re-store under the (mocked) later clock is served normally again
-    cache.put(key, _value(rng))
-    assert cache.get(key) is not None
-
-
-def test_ttl_survives_a_backwards_wall_clock_step(tmp_path, rng, monkeypatch):
-    cache = DiskResultCache(str(tmp_path), ttl_seconds=60.0)
-    key = _key(rng)
-    cache.put(key, _value(rng))
-    real_time = time.time
-    # NTP/VM-migration step: the clock jumps 1000 s into the past, so the
-    # entry's stored_at is now in the "future".  The clamped age (0) must
-    # read as fresh — a hit, no expiry, no negative-age distortion.
-    monkeypatch.setattr(time, "time", lambda: real_time() - 1000.0)
-    assert cache.get(key) is not None
-    assert cache.stats.expirations == 0
-    # once the clock is sane again the normal TTL arithmetic resumes
-    monkeypatch.setattr(time, "time", lambda: real_time() + 120.0)
-    assert cache.get(key) is None
-    assert cache.stats.expirations == 1
 
 
 def test_sweep_lock_with_future_mtime_is_still_broken(tmp_path, rng):
@@ -320,8 +324,6 @@ def test_parameter_validation(tmp_path):
         DiskResultCache(str(tmp_path), max_entries=0)
     with pytest.raises(ParameterError):
         DiskResultCache(str(tmp_path), max_bytes=0)
-    with pytest.raises(ParameterError):
-        DiskResultCache(str(tmp_path), ttl_seconds=0)
     target = tmp_path / "file"
     target.write_text("x")
     with pytest.raises(CacheError):
@@ -481,7 +483,7 @@ def test_service_metrics_surface_disk_eviction_telemetry(tmp_path, rng):
             return service.metrics()
 
     l2 = asyncio.run(scenario())["cache"]["l2"]
-    for key in ("evictions", "evicted_bytes", "corrupt_dropped", "expirations"):
+    for key in ("evictions", "evicted_bytes", "corrupt_dropped"):
         assert key in l2, key
     assert l2["stores"] == 1
 

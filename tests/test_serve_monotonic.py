@@ -1,16 +1,15 @@
 """Monotonic-clock regression tests for the serving layer.
 
-Every time source in the request path (request deadlines, cache TTLs,
-service latency/uptime) must be a *monotonic* clock, never ``time.time()``
-— a wall-clock step (NTP correction, DST, manual reset) must not shed
-requests early, expire cache entries, or distort latency percentiles.
+Every time source in the request path (request deadlines, service
+latency/uptime) must be a *monotonic* clock, never ``time.time()`` — a
+wall-clock step (NTP correction, DST, manual reset) must not shed requests
+early or distort latency percentiles.
 These tests pin that down with injected fake clocks and a source audit.
 """
 
 import asyncio
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.base import BaseSegmenter
 from repro.core.rgb_segmenter import IQFTSegmenter
 from repro.engine import BatchSegmentationEngine
 from repro.errors import DeadlineExceededError
-from repro.serve import AsyncSegmentationService, ResultCache
+from repro.serve import AsyncSegmentationService
 
 
 class FakeClock:
@@ -129,29 +128,6 @@ def test_batcher_put_timeout_follows_the_injected_clock():
     outcome = _gated_outcome(FakeClock(), deadline=50.0, queued_ahead=1, advance=51.0)
     assert isinstance(outcome, DeadlineExceededError)
     assert "waiting for queue space" in str(outcome)
-
-
-def test_cache_ttl_expires_on_injected_clock_only():
-    clock = FakeClock()
-    cache = ResultCache(max_entries=4, ttl_seconds=10.0, clock=clock)
-    key = ("img", "cfg")
-    cache.put(key, "value")
-    # real time passing does nothing — only the injected clock ages entries
-    time.sleep(0.05)
-    assert cache.get(key) == "value"
-    clock.advance(10.5)
-    assert cache.get(key) is None
-    assert cache.stats.expirations == 1
-
-
-def test_cache_ttl_is_immune_to_wall_clock_jumps(monkeypatch):
-    cache = ResultCache(max_entries=4, ttl_seconds=3600.0)  # default monotonic clock
-    key = ("img", "cfg")
-    cache.put(key, "value")
-    # a huge forward wall-clock step (NTP correction) must not expire entries
-    monkeypatch.setattr(time, "time", lambda: 4102444800.0)  # year 2100
-    assert cache.get(key) == "value"
-    assert cache.stats.expirations == 0
 
 
 def test_service_latency_and_uptime_follow_the_injected_clock(rng):

@@ -3,7 +3,6 @@
 import multiprocessing
 import os
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -111,7 +110,6 @@ def test_stats_as_dict_is_json_friendly(shm_cache):
         "store_skips",
         "evictions",
         "torn_reads",
-        "expirations",
         "errors",
         "currsize",
         "slot_count",
@@ -180,8 +178,8 @@ def test_odd_generation_reads_as_torn_miss(shm_cache, rng):
     key = _key(rng)
     shm_cache.put(key, _value(rng))
     base = _slot_base(shm_cache, key)
-    gen, digest, length, crc, stored_at = _HEADER.unpack_from(shm_cache._shm.buf, base)
-    _HEADER.pack_into(shm_cache._shm.buf, base, gen + 1, digest, length, crc, stored_at)
+    gen, digest, length, crc = _HEADER.unpack_from(shm_cache._shm.buf, base)
+    _HEADER.pack_into(shm_cache._shm.buf, base, gen + 1, digest, length, crc)
 
     assert shm_cache.get(key) is None
     assert shm_cache.stats.torn_reads == 1
@@ -205,9 +203,9 @@ def test_bogus_payload_length_reads_as_torn_miss(shm_cache, rng):
     key = _key(rng)
     shm_cache.put(key, _value(rng))
     base = _slot_base(shm_cache, key)
-    gen, digest, _, crc, stored_at = _HEADER.unpack_from(shm_cache._shm.buf, base)
+    gen, digest, _, crc = _HEADER.unpack_from(shm_cache._shm.buf, base)
     huge = shm_cache.slot_bytes  # > slot_bytes - header: cannot be valid
-    _HEADER.pack_into(shm_cache._shm.buf, base, gen, digest, huge, crc, stored_at)
+    _HEADER.pack_into(shm_cache._shm.buf, base, gen, digest, huge, crc)
 
     assert shm_cache.get(key) is None
     assert shm_cache.stats.torn_reads == 1
@@ -223,36 +221,11 @@ def test_undecodable_payload_counts_an_error(shm_cache, rng):
 
     garbage = b"\xff" * 32
     shm_cache._shm.buf[base + _HEADER_SIZE : base + _HEADER_SIZE + len(garbage)] = garbage
-    gen, digest, _, _, stored_at = _HEADER.unpack_from(shm_cache._shm.buf, base)
-    _HEADER.pack_into(
-        shm_cache._shm.buf, base, gen, digest, len(garbage), zlib.crc32(garbage), stored_at
-    )
+    gen, digest, _, _ = _HEADER.unpack_from(shm_cache._shm.buf, base)
+    _HEADER.pack_into(shm_cache._shm.buf, base, gen, digest, len(garbage), zlib.crc32(garbage))
 
     assert shm_cache.get(key) is None
     assert shm_cache.stats.errors == 1
-
-
-def test_ttl_expires_entries_since_store(rng, monkeypatch):
-    cache = SharedMemoryResultCache.create(
-        8 * 1024 * 1024, slot_bytes=256 * 1024, ttl_seconds=10.0
-    )
-    try:
-        now = {"value": 1000.0}
-        monkeypatch.setattr("repro.serve._shmcache.time.monotonic", lambda: now["value"])
-        key = _key(rng)
-        cache.put(key, _value(rng))
-        now["value"] = 1009.0
-        assert cache.get(key) is not None
-        now["value"] = 1011.0
-        assert cache.get(key) is None
-        assert cache.stats.expirations == 1
-        # A stored_at ahead of now (garbage that passed the CRC) must read
-        # as "fresh", not negative age.
-        cache.put(key, _value(rng))
-        now["value"] = 900.0
-        assert cache.get(key) is not None
-    finally:
-        cache.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -273,6 +246,14 @@ def test_attach_missing_segment_raises_cache_error():
 def test_attach_rejects_alien_superblock(shm_cache):
     # Stomp the magic: an attacher must refuse rather than misread geometry.
     struct.pack_into("<8s", shm_cache._shm.buf, 0, b"NOTOURS\x00")
+    with pytest.raises(CacheError):
+        SharedMemoryResultCache.attach(shm_cache.name)
+
+
+def test_attach_refuses_a_segment_in_the_6_0_0_slot_layout(shm_cache):
+    # Superblock version 1 (up to 6.0.0) kept a store timestamp in each slot
+    # header; a version-2 reader must refuse such a segment, not misread it.
+    struct.pack_into("<I", shm_cache._shm.buf, 8, 1)
     with pytest.raises(CacheError):
         SharedMemoryResultCache.attach(shm_cache.name)
 

@@ -2,14 +2,16 @@
 
 Every time source in the request path must be an injectable *monotonic*
 clock: a wall-clock step (NTP correction, DST, manual reset) must not flush
-batches early, expire cache entries, shed deadlines, or distort latency
+batches early, shed deadlines, or distort latency
 percentiles.  PR 4 fixed a family of exactly these bugs; this rule absorbs
 and widens the textual ``time.time()`` audit that used to live in
 ``tests/test_serve_monotonic.py``.
 
-Allowlist: the disk-cache modules compare against file *mtimes*, which the
-OS stamps with the wall clock — ``time.time()`` is the correct clock there
-(ages are clamped at 0 against backwards steps, tested separately).
+Allowlist: the disk-cache module's one wall-clock read is the age of its
+sweep lock file, measured against the file's *mtime*, which the OS stamps
+with the wall clock — ``time.time()`` is the correct clock there (the age
+is clamped at 0 against backwards steps and a monotonic deadline bounds
+the wait, tested separately).
 """
 
 from __future__ import annotations
