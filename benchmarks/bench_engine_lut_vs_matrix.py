@@ -14,6 +14,11 @@ Both paths are timed manually (best-of-``k`` wall clock) because the speedup
 assertion needs the two times in one test.  With ``--smoke`` the workload
 shrinks to 96×96 and the absolute-speedup assertion is skipped — equality is
 always enforced, which is what CI guards.
+
+The JSON report (``output/bench_engine_lut_vs_matrix.json``) carries the
+palette path's throughput, ``palette_mpps``: four images sharing one
+32-colour palette, labelled through the engine, best of
+``_PALETTE_PASSES`` passes.  ``check_regression.py`` gates it.
 """
 
 import time
@@ -26,6 +31,10 @@ from repro.core.lut import clear_lut_cache
 from repro.metrics.report import format_table
 
 _THETA = 4 * np.pi  # multi-threshold regime: 4 grayscale bands (Figure 4)
+
+#: Passes behind the gated palette read.  A smoke pass takes about 1 ms, so
+#: a best of few passes tracks the host's slowest phase, not the code.
+_PALETTE_PASSES = 30
 
 
 def _best_time(func, repeats=5):
@@ -103,3 +112,40 @@ def test_rgb_palette_lut_vs_matrix(rng, smoke_mode, emit_result):
     )
     if not smoke_mode:
         assert speedup >= 3, f"palette path only {speedup:.1f}x faster"
+
+
+def test_palette_path_throughput(smoke_mode, emit_result, emit_json_result):
+    # Its own generator, so the gated images stay the same whatever the
+    # other tests in this module draw.
+    rng = np.random.default_rng(2023)
+    side = 96 if smoke_mode else 384
+    palette = rng.integers(0, 256, size=(32, 3)).astype(np.uint8)
+    images = [palette[rng.integers(0, len(palette), size=(side, side))] for _ in range(4)]
+
+    engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
+    seconds, results = _best_time(
+        lambda: [engine.segment(img) for img in images], repeats=_PALETTE_PASSES
+    )
+    # exactness guard: a fast-but-wrong palette path fails here, not in the read
+    for image, result in zip(images, results):
+        assert result.extras["fast_path"] == "palette-lut"
+        assert np.array_equal(result.labels, IQFTSegmenter(thetas=np.pi).segment(image).labels)
+
+    mpps = len(images) * side * side / seconds / 1e6
+    emit_result(
+        f"Engine — palette path on 4x{side}x{side} uint8 (32 shared colours)",
+        format_table(
+            "Palette-path throughput",
+            ["Passes", "best pass [ms]", "Mpix/s"],
+            [[_PALETTE_PASSES, f"{seconds * 1e3:.2f}", f"{mpps:.1f}"]],
+        ),
+    )
+    emit_json_result(
+        "bench_engine_lut_vs_matrix",
+        {
+            "schema": "repro-bench-engine-lut/v1",
+            "side": side,
+            "passes": _PALETTE_PASSES,
+            "palette_mpps": round(mpps, 3),
+        },
+    )

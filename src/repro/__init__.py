@@ -26,7 +26,7 @@ Quick start
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: Public name → implementation module (relative to this package).  Resolved
 #: on first attribute access (PEP 562): ``import repro`` does not pull in the
@@ -51,9 +51,6 @@ _EXPORTS = {
     "NoiseModel": "quantum",
     "BatchSegmentationEngine": "engine",
     "PipelineResult": "engine",
-    "ArrayBackend": "backend",
-    "get_backend": "backend",
-    "available_backends": "backend",
     "ResultCache": "serve",
     "KMeansSegmenter": "baselines",
     "OtsuSegmenter": "baselines",
@@ -89,7 +86,6 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .backend import ArrayBackend, available_backends, get_backend
     from .base import BaseSegmenter, SegmentationResult
     from .baselines import (
         KMeansSegmenter,

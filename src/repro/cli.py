@@ -220,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="completed traces retained per worker for GET /v1/trace/{id}",
     )
     srv.add_argument(
-        "--backend", default=None, metavar="NAME[,NAME...]",
-        help="array backend for the engine's integer kernels (numpy/torch; "
-        "default: $REPRO_BACKEND or numpy).  With --workers, a "
-        "comma-separated list assigns backends round-robin across worker "
-        "slots — labels stay bit-identical, so the mixed fleet shares one "
-        "cache",
-    )
-    srv.add_argument(
         "--delta",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -552,18 +544,6 @@ def _run_http_serve(args: argparse.Namespace, service, theta_used, host: str, po
     return 0
 
 
-def _parse_backend_names(raw):
-    """Split a ``--backend`` value into a list of names (``None`` passes)."""
-    if raw is None:
-        return None
-    names = [name.strip() for name in str(raw).split(",") if name.strip()]
-    if not names:
-        from .errors import ParameterError
-
-        raise ParameterError("--backend must name at least one backend")
-    return names
-
-
 def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
     """The picklable service recipe shared by every serve mode.
 
@@ -600,7 +580,6 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
         log_format=args.log_format,
         trace_sample_rate=args.trace_sample_rate,
         trace_ring=args.trace_ring,
-        backend=(_parse_backend_names(getattr(args, "backend", None)) or [None])[0],
         delta=args.delta,
         delta_tile=max(0, int(args.delta_tile)),
         delta_streams=max(1, int(args.delta_streams)),
@@ -617,14 +596,7 @@ def _run_fleet_serve(  # pragma: no cover - driven via subprocess in the CLI tes
 
     from .serve import ServeFleet
 
-    names = _parse_backend_names(args.backend)
-    fleet = ServeFleet(
-        spec,
-        host=host,
-        port=port,
-        workers=args.workers,
-        backends=names if names and len(names) > 1 else None,
-    )
+    fleet = ServeFleet(spec, host=host, port=port, workers=args.workers)
     stop = threading.Event()
 
     def _on_signal(signum, frame):  # noqa: ARG001 - signal handler signature
@@ -737,12 +709,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from .errors import ParameterError
 
             raise ParameterError("--max-body-mb must allow at least one byte")
-        if args.backend and "," in args.backend and not fleet_mode:
-            from .errors import ParameterError
-
-            raise ParameterError(
-                "a comma-separated --backend list (mixed fleet) requires --workers"
-            )
         if http_mode:
             http_host, http_port = _parse_http_address(args.http)
         spec = _build_worker_spec(args, http_mode)

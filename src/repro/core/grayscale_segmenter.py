@@ -22,7 +22,7 @@ from ..base import BaseSegmenter
 from ..errors import ParameterError
 from ..imaging.color import rgb_to_gray
 from .classifier import IQFTClassifier
-from .lut import apply_lut, grayscale_label_lut, lut_eligible
+from .lut import grayscale_label_lut, lut_eligible
 from .phase_encoding import normalize_pixels
 from .thresholds import thresholds_for_theta
 
@@ -131,7 +131,6 @@ class IQFTGrayscaleSegmenter(BaseSegmenter):
         self,
         image: np.ndarray,
         extras: Optional[Dict[str, Any]] = None,
-        backend: Optional[Any] = None,
     ) -> Optional[np.ndarray]:
         """LUT fast path: exact labels via a 256-entry value table, or ``None``.
 
@@ -140,13 +139,10 @@ class IQFTGrayscaleSegmenter(BaseSegmenter):
         RGB input routed through the grayscale conversion — returns ``None``
         so callers fall back to :meth:`segment`.  When the table applies, the
         result is bit-identical to the matrix path because the table itself is
-        built by the exact classifier — on *every* backend: the table gather
-        is an integer kernel under the bit-exact contract, so passing an
-        :class:`~repro.backend.base.ArrayBackend` moves the memory-bound
-        apply to its substrate without changing a single label.  Diagnostics
-        go into the caller-owned ``extras`` dict when one is passed (so
-        concurrent callers sharing this segmenter don't race on its internal
-        state).
+        built by the exact classifier and applied by an integer gather.
+        Diagnostics go into the caller-owned ``extras`` dict when one is
+        passed (so concurrent callers sharing this segmenter don't race on
+        its internal state).
         """
         arr = np.asarray(image)
         if arr.ndim != 2 or not lut_eligible(arr, normalize=self.normalize):
@@ -167,7 +163,7 @@ class IQFTGrayscaleSegmenter(BaseSegmenter):
         self._last_extras = info
         if extras is not None:
             extras.update(info)
-        return apply_lut(lut, arr, backend=backend)
+        return lut[arr]
 
     def _extras(self) -> Dict[str, Any]:
         return dict(self._last_extras)

@@ -21,11 +21,10 @@ fast path through their ``labels_from_lut`` hooks and
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..backend.base import ArrayBackend
 from ..errors import ParameterError
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "grayscale_label_lut",
     "grayscale_probability_lut",
     "lut_eligible",
-    "apply_lut",
-    "unique_codes",
     "pack_rgb_codes",
     "unpack_rgb_codes",
     "lut_cache_info",
@@ -76,56 +73,6 @@ def lut_eligible(
     if normalize and vmax <= 1:
         return False
     return True
-
-
-# --------------------------------------------------------------------------- #
-# Backend dispatch (table *apply*; table *construction* stays on the exact CPU
-# reference path regardless of backend, since it runs the exact classifier)
-# --------------------------------------------------------------------------- #
-def _dispatchable(backend: Optional[ArrayBackend], npixels: int) -> bool:
-    """True when the gather is worth routing to ``backend``'s substrate.
-
-    The reference backend is never "dispatched to" — its gather *is* plain
-    fancy indexing, and skipping the indirection keeps the default path's
-    cost byte-for-byte what it was before backends existed.  Accelerators
-    additionally set a ``gather_min_pixels`` cost hint: below it, transfer
-    overhead dwarfs the gather and the host does it faster.
-    """
-    if backend is None or backend.name == "numpy":
-        return False
-    return npixels >= backend.cost_hints().get("gather_min_pixels", 0.0)
-
-
-def apply_lut(
-    table: np.ndarray, indices: np.ndarray, backend: Optional[ArrayBackend] = None
-) -> np.ndarray:
-    """Apply a value table to an integer image, optionally on a backend.
-
-    Bit-exact on every backend (the integer-gather contract of
-    :class:`~repro.backend.base.ArrayBackend`); ``backend=None`` — or any
-    image below the backend's ``gather_min_pixels`` cost hint — gathers on
-    the host.
-    """
-    arr = np.asarray(indices)
-    if _dispatchable(backend, arr.size):
-        return backend.gather(table, arr)
-    return table[arr]
-
-
-def unique_codes(
-    codes: np.ndarray, backend: Optional[ArrayBackend] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sorted unique, inverse)`` of packed colour codes, optionally on a backend.
-
-    The RGB palette path's dedup — the sort over one int64 code per pixel —
-    is its memory-bound half; the same dispatch rule as :func:`apply_lut`
-    applies, and the result is bit-exact everywhere.
-    """
-    arr = np.asarray(codes)
-    if _dispatchable(backend, arr.size):
-        return backend.unique_inverse(arr)
-    unique, inverse = np.unique(arr, return_inverse=True)
-    return unique, np.asarray(inverse).reshape(-1)
 
 
 # --------------------------------------------------------------------------- #

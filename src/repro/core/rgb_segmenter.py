@@ -23,7 +23,7 @@ import numpy as np
 from ..base import BaseSegmenter
 from ..errors import ParameterError, ShapeError
 from .classifier import IQFTClassifier
-from .lut import apply_lut, lut_eligible, pack_rgb_codes, unique_codes, unpack_rgb_codes
+from .lut import lut_eligible, pack_rgb_codes, unpack_rgb_codes
 from .phase_encoding import DEFAULT_THETA, normalize_pixels, pixel_phases
 
 __all__ = ["IQFTSegmenter"]
@@ -146,7 +146,6 @@ class IQFTSegmenter(BaseSegmenter):
         self,
         image: np.ndarray,
         extras: Optional[Dict[str, Any]] = None,
-        backend: Optional[Any] = None,
     ) -> Optional[np.ndarray]:
         """Palette-LUT fast path: exact labels via per-colour lookup, or ``None``.
 
@@ -155,11 +154,9 @@ class IQFTSegmenter(BaseSegmenter):
         (its palette) instead of one per pixel.  Colours are deduplicated on
         packed 24-bit codes, classified through the exact
         phase-encoding + matmul path, and scattered back — bit-identical to
-        :meth:`segment` by construction, on every backend: dedup and the
-        final per-pixel gather are integer kernels under the bit-exact
-        contract, so an :class:`~repro.backend.base.ArrayBackend` offloads
-        the memory-bound halves while the per-*colour* classification stays
-        on the exact reference path.  Every call classifies its own palette;
+        :meth:`segment` by construction: dedup and the final per-pixel gather
+        are integer operations, and only the per-*colour* classification
+        touches floats.  Every call classifies its own palette;
         nothing is cached across images.  Non-integer or out-of-range input
         returns ``None`` (callers fall back to the matrix path), as does
         ``store_probabilities`` mode: the fast path computes no per-pixel
@@ -174,7 +171,7 @@ class IQFTSegmenter(BaseSegmenter):
         if not lut_eligible(arr, normalize=self.normalize):
             return None
         codes = pack_rgb_codes(arr)
-        palette, inverse = unique_codes(codes, backend=backend)
+        palette, inverse = np.unique(codes, return_inverse=True)
         # Preserve the raw dtype so the palette rows take the exact same
         # normalization branch as the full image would.
         colors = unpack_rgb_codes(palette).astype(arr.dtype).reshape(-1, 1, 3)
@@ -189,8 +186,7 @@ class IQFTSegmenter(BaseSegmenter):
         self._last_extras = info
         if extras is not None:
             extras.update(info)
-        scattered = apply_lut(palette_labels, np.asarray(inverse).reshape(-1), backend=backend)
-        return scattered.reshape(arr.shape[:2])
+        return palette_labels[inverse].reshape(arr.shape[:2])
 
     def _extras(self) -> Dict[str, Any]:
         return dict(self._last_extras)

@@ -15,7 +15,7 @@ tiles are re-segmented through the wrapped engine's normal strategies
 ``BatchSegmentationEngine._label_prepared``).  Fresh tiles are stitched
 into a copy of the ancestor's label map — bit-identical to a full
 recompute, a property the Hypothesis suite asserts over grayscale and RGB
-frames on every available backend.
+frames.
 
 Preprocessing runs on the **whole frame before tiling** (``target_shape``
 resizing is not tile-local), so the digests address prepared content — the
@@ -167,8 +167,8 @@ class DeltaStreamEngine:
     Parameters
     ----------
     engine:
-        The wrapped engine.  Its preprocessing, LUT/tiling strategies and
-        backend are used unchanged for the tiles that do need recomputing.
+        The wrapped engine.  Its preprocessing and LUT/tiling strategies
+        are used unchanged for the tiles that do need recomputing.
     tile_shape:
         ``(H, W)`` of the fixed delta grid.
     max_streams:
@@ -303,7 +303,6 @@ class DeltaStreamEngine:
         )
         extras: Dict[str, Any] = {
             "fast_path": "delta" if reused else "delta-cold",
-            "backend": self.engine.backend.name,
             "delta": stats.as_dict(),
             "tile_shape": self.tile_shape,
             "stream_id": stream_id,

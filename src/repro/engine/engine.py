@@ -14,10 +14,8 @@ library.  For each image it picks the cheapest *exact* evaluation strategy:
 3. **Direct matrix path** — everything else runs the segmenter unchanged.
 
 For the IQFT methods every strategy labels through the one exact classifier
-of eq. (11) (:class:`~repro.core.classifier.IQFTClassifier`).  The engine's
-:class:`~repro.backend.ArrayBackend` runs only the LUT paths' integer
-kernels, which are bit-exact on every backend, so the backend never changes
-a label.
+of eq. (11) (:class:`~repro.core.classifier.IQFTClassifier`); the LUT paths
+add only NumPy integer lookups on top of it.
 
 On top of the per-image strategy the engine exposes ``map(images, gts)``,
 which scatters a whole batch over the executor and returns one
@@ -29,15 +27,12 @@ here, so every existing caller of the batch API gets the fast paths for free.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend.base import ArrayBackend
-from ..backend.registry import resolve_backend
 from ..base import BaseSegmenter, SegmentationResult
 from ..core.pipeline import PipelineResult, SegmentationPipeline
 from ..errors import ParameterError
@@ -65,16 +60,6 @@ _TILING_MODES = ("auto", "always", "never")
 
 #: Sentinel distinguishing "companion iterator exhausted" from a None item.
 _EXHAUSTED = object()
-
-
-@functools.lru_cache(maxsize=None)
-def _hook_accepts_backend(func) -> bool:
-    # Cached on the underlying function object (stable per class), so the
-    # signature walk happens once per segmenter type, not once per image.
-    try:
-        return "backend" in inspect.signature(func).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
 
 
 def _segment_tile(segmenter: BaseSegmenter, block: np.ndarray) -> np.ndarray:
@@ -130,14 +115,6 @@ class BatchSegmentationEngine:
         A :class:`~repro.parallel.executor.BaseExecutor` used both for tiles
         within an image and for images within :meth:`map`.  Defaults to the
         serial executor (deterministic, no processes).
-    backend:
-        The :class:`~repro.backend.base.ArrayBackend` running the engine's
-        integer kernels (LUT gather, palette dedup) — a backend instance, a
-        registered name (``"numpy"``, ``"torch"``), or ``None`` for the
-        process default (the ``REPRO_BACKEND`` environment variable, falling
-        back to ``"numpy"``).  Those kernels are bit-exact on every backend
-        and the float kernel of eq. (11) always runs in the classifier, so
-        switching backends never changes labels.
     """
 
     def __init__(
@@ -150,7 +127,6 @@ class BatchSegmentationEngine:
         tile_shape: Tuple[int, int] = DEFAULT_TILE_SHAPE,
         auto_tile_pixels: int = DEFAULT_AUTO_TILE_PIXELS,
         executor: Optional[BaseExecutor] = None,
-        backend: Optional[Union[str, ArrayBackend]] = None,
     ):
         self.pipeline = SegmentationPipeline(
             segmenter, to_grayscale=to_grayscale, target_shape=target_shape
@@ -169,7 +145,6 @@ class BatchSegmentationEngine:
         self.tile_shape = (th, tw)
         self.auto_tile_pixels = int(auto_tile_pixels)
         self.executor = executor if executor is not None else SerialExecutor()
-        self.backend = resolve_backend(backend)
 
     @classmethod
     def from_pipeline(
@@ -180,7 +155,6 @@ class BatchSegmentationEngine:
         tile_shape: Tuple[int, int] = DEFAULT_TILE_SHAPE,
         auto_tile_pixels: int = DEFAULT_AUTO_TILE_PIXELS,
         executor: Optional[BaseExecutor] = None,
-        backend: Optional[Union[str, ArrayBackend]] = None,
     ) -> "BatchSegmentationEngine":
         """Wrap an existing pipeline (shared preprocessing and scoring)."""
         if not isinstance(pipeline, SegmentationPipeline):
@@ -192,7 +166,6 @@ class BatchSegmentationEngine:
             tile_shape=tile_shape,
             auto_tile_pixels=auto_tile_pixels,
             executor=executor,
-            backend=backend,
         )
         engine.pipeline = pipeline
         return engine
@@ -213,7 +186,6 @@ class BatchSegmentationEngine:
                 "tile_shape": list(self.tile_shape),
                 "auto_tile_pixels": self.auto_tile_pixels,
                 "executor": self.executor.name,
-                "backend": self.backend.name,
             }
         )
         return info
@@ -233,11 +205,7 @@ class BatchSegmentationEngine:
             return False
         if self.tiling == "always":
             return True
-        # Backends that keep whole images resident (device memory, fused
-        # kernels) publish a cost hint raising the auto-tiling bar: splitting
-        # work the device would swallow in one launch only adds overhead.
-        scale = float(self.backend.cost_hints().get("tile_pixels_scale", 1.0))
-        return height * width >= self.auto_tile_pixels * max(scale, 1.0)
+        return height * width >= self.auto_tile_pixels
 
     def _label_prepared(
         self, prepared: np.ndarray
@@ -262,14 +230,9 @@ class BatchSegmentationEngine:
             if hook is not None:
                 # The hook fills a caller-owned extras dict so concurrent
                 # map() workers sharing one segmenter never race on its
-                # internal _last_extras state.  Backend-aware hooks get the
-                # engine's backend (integer kernels, bit-exact everywhere);
-                # older hooks without the keyword still work unchanged.
+                # internal _last_extras state.
                 extras_out: Dict[str, Any] = {}
-                if _hook_accepts_backend(getattr(hook, "__func__", hook)):
-                    labels = hook(prepared, extras=extras_out, backend=self.backend)
-                else:
-                    labels = hook(prepared, extras=extras_out)
+                labels = hook(prepared, extras=extras_out)
                 if labels is not None:
                     extras = extras_out
                     fast_path = str(extras.get("fast_path", "lut"))
@@ -306,7 +269,6 @@ class BatchSegmentationEngine:
         labels, extras, fast_path = self._label_prepared(prepared)
         elapsed = time.perf_counter() - start
         extras["fast_path"] = fast_path
-        extras["backend"] = self.backend.name
         # Per-stage timing for trace spans: runtime_seconds stays label time
         # only (its historical meaning), prepare cost is reported separately.
         extras["prepare_seconds"] = prepare_seconds
@@ -455,5 +417,5 @@ class BatchSegmentationEngine:
         return (
             f"BatchSegmentationEngine(segmenter={self.segmenter.name!r}, "
             f"use_lut={self.use_lut}, tiling={self.tiling!r}, "
-            f"executor={self.executor.name!r}, backend={self.backend.name!r})"
+            f"executor={self.executor.name!r})"
         )

@@ -21,7 +21,6 @@ __all__ = [
     "MetricError",
     "DatasetError",
     "ParallelError",
-    "BackendError",
     "ExperimentError",
     "ServeError",
     "ServeConnectionError",
@@ -80,15 +79,6 @@ class DatasetError(ReproError):
 
 class ParallelError(ReproError):
     """Raised when the parallel-execution layer fails to run a job."""
-
-
-class BackendError(ReproError):
-    """Raised when an array backend fails at runtime (device lost, OOM, ...).
-
-    Selection errors — asking for a backend that is not registered or whose
-    optional dependency is missing — raise :class:`ParameterError` instead:
-    they are configuration mistakes, not runtime faults.
-    """
 
 
 class ExperimentError(ReproError):

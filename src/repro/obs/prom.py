@@ -39,7 +39,7 @@ def _families() -> Dict[str, Tuple[str, str]]:
     families: Dict[str, Tuple[str, str]] = {}
     for row in schema.METRICS:
         if row.family:
-            kind = "gauge" if row.kind in ("info", "exemplar") else row.kind
+            kind = "gauge" if row.kind == "exemplar" else row.kind
             families.setdefault(row.family, (kind, row.help))
     return families
 
@@ -88,12 +88,6 @@ def _samples(row: schema.Metric, labels: Tuple, value: Any) -> List[Tuple[Tuple,
     """The ``(labels, value)`` samples one matched leaf contributes."""
     if row.kind == "histogram":
         return [(labels, value)] if _is_sketch(value) else []
-    if row.kind == "info":
-        # One sample per name: a service reports its backend, a merged
-        # fleet document the list of every backend serving.
-        names = value if isinstance(value, (list, tuple)) else [value] if value else []
-        label = row.path.rpartition(".")[2]
-        return [(labels + ((label, str(name)),), 1.0) for name in names]
     if row.kind == "exemplar":
         if not (isinstance(value, Mapping) and value.get("trace_id")):
             return []

@@ -98,11 +98,6 @@ def slowest(values: List[Any]) -> Optional[Dict[str, Any]]:
     return max(exemplars, key=lambda e: as_float(e.get("seconds")), default=None)
 
 
-def union(values: List[Any]) -> List[str]:
-    """Sorted distinct names across workers."""
-    return sorted({str(value) for value in values if value})
-
-
 def weighted_mean(pairs: List[Tuple[Any, Any]]) -> float:
     """Per-worker ``(mean, weight)`` pairs combined in proportion to their weights."""
     weight = sum(_as_int(w) for _, w in pairs)
@@ -163,20 +158,17 @@ class Metric:
     """One metric leaf: where it lives, how it merges, how it is exported.
 
     ``weight`` names a sibling leaf whose per-worker value weights this one
-    (the merge rule then receives ``(value, weight)`` pairs); ``into`` is the
-    leaf's key in a merged document when that differs from a worker's;
-    ``always`` rows (top-level ones) are merged even when no worker reports
-    the leaf.
+    (the merge rule then receives ``(value, weight)`` pairs); ``always``
+    rows (top-level ones) are merged even when no worker reports the leaf.
     """
 
     path: str
     merge: Callable[[List[Any]], Any] | Recomputed
-    kind: Optional[str] = None  # counter, gauge, histogram, info or exemplar
+    kind: Optional[str] = None  # counter, gauge, histogram or exemplar
     family: Optional[str] = None
     help: str = ""
     labels: Tuple[Tuple[str, str], ...] = ()
     weight: Optional[str] = None
-    into: Optional[str] = None
     always: bool = False
 
 
@@ -218,7 +210,6 @@ METRICS: Tuple[Metric, ...] = (
     Metric("latency_sketch", sketch_merge, "histogram", "request_latency_seconds", "End-to-end request latency."),
     Metric("latency_seconds", summary_of("latency_sketch")),
     Metric("latency_exemplar", slowest, "exemplar", "request_latency_exemplar_seconds", "Latency of the slowest recent traced request (trace_id keys the flight recorder).", always=True),
-    Metric("backend", union, "info", "backend_info", "Array backends actively serving (1 per active backend).", into="backends"),
     # --- cache tiers ---------------------------------------------------------
     Metric("cache.{tier}.hits", total, "counter", "cache_hits_total", "Cache hits."),
     Metric("cache.{tier}.misses", total, "counter", "cache_misses_total", "Cache misses."),
@@ -304,17 +295,14 @@ class _Node:
 def _compile(rows: Tuple[Metric, ...]) -> _Node:
     root = _Node()
     for row in rows:
-        head = row.path.rpartition(".")[0]
-        into = [f"{head}.{row.into}" if head else row.into] if row.into else []
-        for path in [row.path, *into]:
-            node = root
-            for segment in path.split("."):
-                if segment.startswith("{"):
-                    node.wildcard = node.wildcard or _Node(segment[1:-1])
-                    node = node.wildcard
-                else:
-                    node = node.children.setdefault(segment, _Node())
-            node.row = row
+        node = root
+        for segment in row.path.split("."):
+            if segment.startswith("{"):
+                node.wildcard = node.wildcard or _Node(segment[1:-1])
+                node = node.wildcard
+            else:
+                node = node.children.setdefault(segment, _Node())
+        node.row = row
     return root
 
 
@@ -428,8 +416,6 @@ def merge_worker_metrics(snapshots: List[Any]) -> Dict[str, Any]:
             key = path[-1]
             if row.weight:
                 values = [(node[key], node.get(row.weight)) for node in parents if key in node]
-            if row.into:
-                path = path[:-1] + (row.into,)
             _put(merged, path, row.merge(values))
     for row in _ALWAYS:
         merged.setdefault(row.path, row.merge([]))

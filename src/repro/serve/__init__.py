@@ -35,13 +35,11 @@ for request/response traffic:
   (kernel load balancing; single shared listener as the fallback), all
   sharing one disk-cache directory as their L2.  Staggered startup,
   heartbeat liveness, crash-restart with exponential backoff, fleet-wide
-  SIGTERM drain, and merged metrics/health across the workers.  Fleets may
-  mix array backends per worker (``backends=["torch", "numpy"]``) — integer
-  fast paths are bit-exact on every backend, so the mixed fleet serves
-  identical answers from one shared cache.  Workers can run the adaptive
-  control loop (:class:`AdaptiveController`): batch size and lane weights
-  re-derived each tick from live telemetry, within bounds.
-  CLI: ``repro-segment serve --http HOST:PORT --workers N [--backend ...]``.
+  SIGTERM drain, and merged metrics/health across the workers.  Workers
+  can run the adaptive control loop (:class:`AdaptiveController`): batch
+  size and lane weights re-derived each tick from live telemetry, within
+  bounds.
+  CLI: ``repro-segment serve --http HOST:PORT --workers N``.
 * the spool job sources behind ``repro-segment serve``: a watched spool
   directory or JSONL job lines (with optional per-job priority, deadline
   and client), driven through the service by :func:`run_jobs_async` and

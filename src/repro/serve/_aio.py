@@ -1237,7 +1237,6 @@ class AsyncSegmentationService:
             "batches": self._batches,
             "mean_batch_size": self._batched_items / self._batches if self._batches else 0.0,
             "ewma_request_seconds": self._ewma_request_seconds,
-            "backend": self.engine.backend.name,
             "adaptive": self._adaptive_metrics(),
             "delta": self._delta_metrics(),
             "cache": cache_stats,
@@ -1294,12 +1293,10 @@ class AsyncSegmentationService:
 
         Served as ``GET /v1/capabilities`` so clients can discover what this
         deployment supports — API version, accepted/produced payload formats,
-        and which array backends exist here — before sending work.  Unlike
-        :meth:`describe` (internal tuning knobs, free to change between
-        releases), this document is part of the stable HTTP surface.
+        the cache-key digest and delta-stream support — before sending work.
+        Unlike :meth:`describe` (internal tuning knobs, free to change
+        between releases), this document is part of the stable HTTP surface.
         """
-        from ..backend.registry import backend_status
-
         return {
             "api_version": "v1",
             "endpoints": [
@@ -1316,8 +1313,6 @@ class AsyncSegmentationService:
                 "application/x-npy",
             ],
             "response_formats": ["application/json", "application/x-npy"],
-            "backend": self.engine.backend.name,
-            "backends": backend_status(),
             "config_digest": self._config_digest,
             "delta_streams": self._delta is not None and self._delta.supports_delta,
         }

@@ -109,15 +109,8 @@ def engine_fingerprint(engine: Any) -> Dict[str, Any]:
     thetas/theta, normalize, max_value, multiband, shot counts and the
     fields of an attached noise model.  :func:`config_digest` of it is the
     second half of every cache key.
-
-    Backend identity never enters the digest: a backend runs only integer
-    kernels, bit-exact on every backend, and the float kernel lives in the
-    classifier.  So warm cache tiers survive a backend switch, and a
-    mixed-backend fleet shares one cache without ever serving divergent
-    labels.
     """
     fingerprint = dict(engine.describe())
-    fingerprint.pop("backend", None)
     segmenter = engine.segmenter
     fingerprint["segmenter_class"] = type(segmenter).__qualname__
     fingerprint["segmenter_params"] = {

@@ -123,13 +123,6 @@ class WorkerSpec:
     log_format: str = "text"
     trace_sample_rate: float = 1.0
     trace_ring: int = 256
-    #: Array backend the worker's engine runs its integer kernels on (a
-    #: registered name: "numpy", "torch"; ``None`` = process default, i.e.
-    #: the ``REPRO_BACKEND`` environment variable or "numpy").  Fleets may
-    #: mix backends per worker — every backend kernel is bit-exact, so a
-    #: heterogeneous fleet still serves identical answers from one shared
-    #: cache.
-    backend: Optional[str] = None
     #: Dirty-tile incremental path for temporal streams (requests carrying
     #: ``X-Repro-Stream-Id``): only tiles changed since the stream's previous
     #: frame are re-segmented, bit-identical to a full recompute.
@@ -189,7 +182,6 @@ class WorkerSpec:
             get_segmenter(self.method, **self.segmenter_kwargs()),
             use_lut=self.use_lut,
             executor=executor_for_jobs(self.executor, self.jobs),
-            backend=self.backend,
         )
         return AsyncSegmentationService(
             engine,
@@ -436,15 +428,6 @@ class ServeFleet:
     drain_grace_seconds:
         Upper bound :meth:`shutdown` waits for draining workers before
         escalating SIGTERM to SIGKILL.
-    backends:
-        Optional per-worker backend assignment for a heterogeneous fleet:
-        a list of registered backend names cycled across worker slots
-        (``["torch", "numpy"]`` with 4 workers → slots 0/2 on torch, 1/3 on
-        NumPy), overriding ``spec.backend``.  Names are resolved eagerly so
-        an unknown or unavailable backend fails the constructor instead of
-        crash-looping spawned workers.  Because integer fast paths are
-        bit-exact on every backend, a mixed fleet serves bit-identical
-        answers and shares every cache tier.
     """
 
     def __init__(
@@ -454,7 +437,6 @@ class ServeFleet:
         port: int = 0,
         workers: int = 2,
         *,
-        backends: Optional[List[str]] = None,
         reuse_port: Optional[bool] = None,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 15.0,
@@ -481,15 +463,6 @@ class ServeFleet:
             reuse_port = hasattr(socket, "SO_REUSEPORT")
         elif reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise ParameterError("SO_REUSEPORT is not available on this platform")
-        if backends is not None:
-            from ..backend.registry import get_backend
-
-            backends = [str(name) for name in backends]
-            if not backends:
-                raise ParameterError("backends must name at least one backend")
-            for name in backends:
-                get_backend(name)  # fail fast: ParameterError lists options
-        self.backends = backends
         self.spec = spec
         self.host = host
         self.port = int(port)
@@ -586,19 +559,13 @@ class ServeFleet:
         }
         self.spec = dataclasses.replace(self.spec, shm_name=self._shm_cache.name)
 
-    def _slot_spec(self, slot: int) -> WorkerSpec:
-        """The spec for one worker slot (per-slot backend in a mixed fleet)."""
-        if self.backends is None:
-            return self.spec
-        return dataclasses.replace(self.spec, backend=self.backends[slot % len(self.backends)])
-
     def _launch(self, slot: int) -> None:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 slot,
-                self._slot_spec(slot),
+                self.spec,
                 self.host,
                 self.port,
                 send_conn,
@@ -928,10 +895,6 @@ class ServeFleet:
             "port": self.port,
             "pids": pids,
             "shm": shm,
-            "backends": {
-                slot: self._slot_spec(slot).backend or "default"
-                for slot in range(self.workers)
-            },
         }
 
     @property

@@ -51,8 +51,9 @@ Every serve-layer failure maps to a precise status code
 (:func:`status_for_exception`): ``ServiceOverloadedError`` → 503 +
 ``Retry-After``, ``QuotaExceededError`` → 429 + ``Retry-After``,
 ``DeadlineExceededError`` → 504, ``ServiceClosedError`` → 503, and malformed
-payloads (``PayloadError`` / ``ImageDecodeError`` / ``ParameterError``) →
-400.  Oversized bodies are rejected with 413 before they are read.
+payloads (``PayloadError`` / ``ImageDecodeError`` / ``ShapeError`` /
+``ParameterError``) → 400.  Oversized bodies are rejected with 413 before
+they are read.
 
 Shutdown is graceful: :meth:`HttpSegmentationServer.aclose` stops accepting
 connections, waits for every in-flight request to finish (they may still
@@ -83,6 +84,7 @@ from ..errors import (
     ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ShapeError,
 )
 from ..errors import (
     DeadlineExceededError as _DeadlineExceededError,
@@ -132,6 +134,7 @@ _ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (ServiceClosedError, 503),
     (PayloadError, 400),
     (ImageDecodeError, 400),
+    (ShapeError, 400),
     (ParameterError, 400),
 )
 
@@ -152,7 +155,11 @@ def status_for_exception(exc: BaseException) -> Tuple[int, Dict[str, str]]:
 
 
 def decode_array_payload(data: bytes) -> np.ndarray:
-    """Decode an image request body: npy bytes or a sniffed image container."""
+    """Decode an image request body: npy bytes or a sniffed image container.
+
+    An npy image must be a non-empty 2-D or 3-D array of bool, integer or
+    real floating values; anything else is the client's error (400).
+    """
     if data[: len(_NPY_MAGIC)] == _NPY_MAGIC:
         try:
             array = np.load(io.BytesIO(data), allow_pickle=False)
@@ -160,6 +167,12 @@ def decode_array_payload(data: bytes) -> np.ndarray:
             raise PayloadError(f"invalid npy payload: {exc}") from exc
         if not isinstance(array, np.ndarray) or array.ndim not in (2, 3):
             raise PayloadError("npy payload must be a 2-D or 3-D image array")
+        if array.size == 0:
+            raise PayloadError(f"npy payload is empty (shape {array.shape})")
+        if array.dtype.kind not in "biuf":
+            raise PayloadError(
+                f"npy payload dtype {array.dtype} is not bool, integer or float"
+            )
         return array
     return decode_image(data)
 
@@ -407,14 +420,15 @@ class HttpSegmentationServer:
                     except Exception as exc:  # noqa: BLE001 - a 500 beats a dropped conn
                         # Unexpected dispatch failures must be visible to the
                         # operator, not only to the client that got the 500.
-                        self._request_errors += 1
+                        status, extra = status_for_exception(exc)
+                        if status == 500:
+                            self._request_errors += 1
                         get_logger().warning(
                             "http.dispatch_error",
                             path=request.path,
                             error=type(exc).__name__,
                             detail=str(exc),
                         )
-                        status, extra = status_for_exception(exc)
                         status, headers, body = self._json_response(
                             status, {"error": type(exc).__name__, "detail": str(exc)}
                         )
@@ -642,8 +656,10 @@ class HttpSegmentationServer:
                 if trace is not None:
                     trace.add("service.submit", submit_start, trace.clock())
             except Exception as exc:  # noqa: BLE001 - mapped to a status, never fatal
-                self._request_errors += 1
                 status, extra = status_for_exception(exc)
+                if status == 500:
+                    # Mapped failures are counted by http.responses.{code}.
+                    self._request_errors += 1
                 expected = isinstance(exc, (ServeError, ReproError, ValueError))
                 detail = str(exc) if expected else repr(exc)
                 response = self._json_response(

@@ -45,6 +45,7 @@ from ..errors import (
     ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ShapeError,
 )
 
 __all__ = ["SegmentClient", "HttpSegmentResult"]
@@ -57,6 +58,7 @@ _ERROR_TYPES = {
     "ServiceClosedError": ServiceClosedError,
     "PayloadError": PayloadError,
     "ImageDecodeError": ImageDecodeError,
+    "ShapeError": ShapeError,
     "ParameterError": ParameterError,
 }
 
@@ -221,10 +223,10 @@ class SegmentClient:
     def capabilities(self) -> Dict[str, Any]:
         """The server's stable feature contract from ``/v1/capabilities``.
 
-        Reports the API version, accepted/produced payload formats, and the
-        server's array backends — ``backend`` (active) and ``backends`` (a
-        name → available map) — so callers can pick formats and route work
-        before sending a single image.
+        Reports the API version, endpoints, accepted/produced payload
+        formats, the ``config_digest`` half of every cache key and whether
+        delta streams are supported, so callers can pick formats and route
+        work before sending a single image.
         """
         response, payload = self._request("GET", "/v1/capabilities")
         self._raise_for_status(response, payload)

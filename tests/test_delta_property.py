@@ -3,7 +3,7 @@
 The delta engine's whole contract is exactness: for any frame sequence, any
 tile grid and any mutation pattern, stitching reused tiles into the ancestor
 label map must reproduce ``engine.segment(frame)`` bit for bit — grayscale
-and RGB, on every available backend.  Hypothesis drives frames, grids and
+and RGB.  Hypothesis drives frames, grids and
 mutations; a single differing pixel is a contract breach.
 """
 
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import available_backends
 from repro.core.grayscale_segmenter import IQFTGrayscaleSegmenter
 from repro.core.rgb_segmenter import IQFTSegmenter
 from repro.engine import BatchSegmentationEngine
@@ -22,8 +21,6 @@ from repro.engine.delta import DeltaStreamEngine
 # Hypothesis-heavy: CI runs this suite on one matrix leg (see pyproject's
 # `property` marker note).
 pytestmark = pytest.mark.property
-
-BACKENDS = available_backends()
 
 _gray_frames = hnp.arrays(
     dtype=np.uint8,
@@ -75,21 +72,17 @@ def _check_sequence(engine, frames, tile_shape):
         assert result.num_segments == expected.num_segments
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(frame=_gray_frames, tile_shape=_tiles, mutations=_mutations)
-def test_grayscale_delta_bit_identity(backend, frame, tile_shape, mutations):
-    engine = BatchSegmentationEngine(
-        IQFTGrayscaleSegmenter(theta=2 * np.pi), backend=backend
-    )
+def test_grayscale_delta_bit_identity(frame, tile_shape, mutations):
+    engine = BatchSegmentationEngine(IQFTGrayscaleSegmenter(theta=2 * np.pi))
     _check_sequence(engine, [frame, _apply(frame, mutations)], tile_shape)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(frame=_rgb_frames, tile_shape=_tiles, mutations=_mutations)
-def test_rgb_delta_bit_identity(backend, frame, tile_shape, mutations):
-    engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi), backend=backend)
+def test_rgb_delta_bit_identity(frame, tile_shape, mutations):
+    engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
     _check_sequence(engine, [frame, _apply(frame, mutations)], tile_shape)
 
 

@@ -24,6 +24,7 @@ from repro.errors import (
     QuotaExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ShapeError,
 )
 from repro.imaging.io_png import write_png
 from repro.serve import (
@@ -253,6 +254,7 @@ def test_keep_alive_serves_multiple_requests_per_connection(rng):
         (DeadlineExceededError("too late"), 504),
         (ParameterError("bad lane"), 400),
         (RuntimeError("boom"), 500),
+        (ShapeError("four channels"), 400),
     ],
 )
 def test_every_serve_error_maps_to_its_status_code(rng, exc, status):
@@ -266,6 +268,12 @@ def test_every_serve_error_maps_to_its_status_code(rng, exc, status):
         assert document["error"] == type(exc).__name__
         if status in (429, 503):
             assert response.getheader("Retry-After") == "1"
+        # request_errors counts only the unexpected failures (answered 500);
+        # http.responses.{code} already counts the mapped ones.
+        _, metrics = _get(box["port"], "/v1/metrics")
+        http_block = json.loads(metrics)["http"]
+        assert http_block["request_errors"] == (1 if status == 500 else 0)
+        assert http_block["responses"][str(status)] == 1
 
 
 def test_status_for_exception_table():
@@ -274,6 +282,7 @@ def test_status_for_exception_table():
     assert status_for_exception(DeadlineExceededError("x"))[0] == 504
     assert status_for_exception(PayloadError("x"))[0] == 400
     assert status_for_exception(ImageDecodeError("x"))[0] == 400
+    assert status_for_exception(ShapeError("x"))[0] == 400
     assert status_for_exception(KeyError("x"))[0] == 500
     assert status_for_exception(QuotaExceededError("x"))[1]["Retry-After"] == "1"
 
@@ -308,6 +317,27 @@ def test_expired_deadline_returns_504_over_the_wire(rng):
         (b"neither npy nor an image container", "application/octet-stream"),
         (b"", "application/octet-stream"),
         (b"\x93NUMPY garbage after the magic", "application/x-npy"),
+        # Well-formed npy that is no image the RGB engine can label.
+        pytest.param(
+            _npy_bytes(np.zeros((8, 8, 4), np.uint8)), "application/x-npy", id="npy-rgba"
+        ),
+        pytest.param(
+            _npy_bytes(np.zeros((8, 8), np.uint8)), "application/x-npy", id="npy-2d-to-rgb"
+        ),
+        pytest.param(
+            _npy_bytes(np.zeros((8, 8, 3), [("r", "u1"), ("g", "u1")])),
+            "application/x-npy",
+            id="npy-structured",
+        ),
+        pytest.param(
+            _npy_bytes(np.full((8, 8, 3), "x")), "application/x-npy", id="npy-string"
+        ),
+        pytest.param(
+            _npy_bytes(np.zeros((0, 8, 3), np.uint8)), "application/x-npy", id="npy-empty"
+        ),
+        pytest.param(
+            _npy_bytes(np.ones((8, 8, 3), np.complex128)), "application/x-npy", id="npy-complex"
+        ),
     ],
 )
 def test_malformed_bodies_return_400(rng, body, content_type):
@@ -317,6 +347,15 @@ def test_malformed_bodies_return_400(rng, body, content_type):
         )
         assert response.status == 400
         assert "detail" in json.loads(payload)
+        _, metrics = _get(box["port"], "/v1/metrics")
+        assert json.loads(metrics)["http"]["request_errors"] == 0
+
+
+def test_client_raises_shape_error_for_an_image_of_the_wrong_shape(rng):
+    with _serve(lambda: AsyncSegmentationService(_engine())) as box:
+        with SegmentClient("127.0.0.1", box["port"]) as client:
+            with pytest.raises(ShapeError, match="HTTP 400"):
+                client.segment(np.zeros((8, 8, 4), np.uint8))
 
 
 def test_bad_priority_and_bad_deadline_return_400(rng):

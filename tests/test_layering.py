@@ -33,7 +33,7 @@ def _write_tree(root: Path, serve_source: str) -> Path:
 
 
 def test_checker_flags_absolute_core_import(tmp_path):
-    _write_tree(tmp_path, "from repro.core.lut import apply_lut\n")
+    _write_tree(tmp_path, "from repro.core.lut import lut_eligible\n")
     violations = check_layering(tmp_path)
     assert len(violations) == 1
     assert "repro.core.lut" in violations[0]
@@ -50,7 +50,7 @@ def test_checker_flags_engine_submodule_but_allows_surface(tmp_path):
     _write_tree(
         tmp_path,
         "from ..engine import BatchSegmentationEngine\n"  # sanctioned
-        "from repro.engine.engine import _hook_accepts_backend\n",  # internal
+        "from repro.engine.engine import _count_segments\n",  # internal
     )
     violations = check_layering(tmp_path)
     assert len(violations) == 1

@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
     assert "__version__" in repro.__all__
 
 
@@ -130,3 +130,43 @@ def test_the_cache_ttl_and_the_cross_image_palette_cache_are_gone(tmp_path):
     assert IQFTSegmenter(thetas=np.pi).labels_from_lut(image, extras=extras) is not None
     assert extras["fast_path"] == "palette-lut"
     assert "palette_cached" not in extras
+
+
+def test_the_backend_layer_is_gone():
+    # 8.0.0 deleted repro.backend: NumPy is the only array substrate, so no
+    # constructor takes a backend and the CLI has no --backend.
+    import numpy as np
+
+    import repro.errors
+    from repro import BatchSegmentationEngine, IQFTSegmenter, SegmentationPipeline
+
+    sys.modules.pop("repro.backend", None)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.backend")
+    for name in ("ArrayBackend", "get_backend", "available_backends"):
+        assert not hasattr(repro, name), name
+    assert not hasattr(repro.errors, "BackendError")
+
+    segmenter = IQFTSegmenter(thetas=np.pi)
+    with pytest.raises(TypeError):
+        BatchSegmentationEngine(segmenter, backend="numpy")
+    with pytest.raises(TypeError):
+        BatchSegmentationEngine.from_pipeline(SegmentationPipeline(segmenter), backend="numpy")
+    with pytest.raises(TypeError):
+        repro.serve.WorkerSpec(backend="numpy")
+    with pytest.raises(TypeError):
+        repro.serve.ServeFleet(repro.serve.WorkerSpec(), backends=["numpy"])
+    engine = BatchSegmentationEngine(segmenter)
+    assert "backend" not in engine.describe()
+    image = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    assert "backend" not in engine.segment(image).extras
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "-", "--backend", "numpy"],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: unrecognized arguments: --backend" in proc.stderr, proc.stderr

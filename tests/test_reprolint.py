@@ -63,7 +63,7 @@ def test_all_eight_rules_registered_with_metadata():
 def test_rl001_fires_on_core_import_in_serve(tmp_path):
     findings = run_on_tree(
         tmp_path,
-        {"src/repro/serve/offender.py": "from repro.core.lut import apply_lut\n"},
+        {"src/repro/serve/offender.py": "from repro.core.lut import lut_eligible\n"},
         rules=["RL001"],
     )
     assert rule_ids(findings) == ["RL001"]
@@ -91,7 +91,7 @@ def test_rl001_clean_on_engine_surface_and_outside_serve(tmp_path):
         tmp_path,
         {
             "src/repro/serve/fine.py": "from repro.engine import BatchSegmentationEngine\n",
-            "src/repro/engine/impl.py": "from repro.core.lut import apply_lut\n",
+            "src/repro/engine/impl.py": "from repro.core.lut import lut_eligible\n",
         },
         rules=["RL001"],
     )

@@ -197,6 +197,15 @@ def test_config_digest_covers_noise_model_parameters():
     assert quiet.describe()["config_digest"] != noisy.describe()["config_digest"]
 
 
+def test_default_config_digest_is_pinned():
+    # The digest is the second half of every cache key: while it holds,
+    # warm --cache-dir entries written by 6.0.0 and later keep hitting.
+    from repro.serve import WorkerSpec
+
+    service = WorkerSpec().build_service()
+    assert service.describe()["config_digest"] == "e5586fb386f953ffa7cf91a85ead792d"
+
+
 def test_caller_cancelled_future_is_accounted(rng):
     segmenter = GatedSegmenter()
     engine = BatchSegmentationEngine(segmenter)

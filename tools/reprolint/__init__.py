@@ -3,7 +3,7 @@
 Zero-dependency, AST-based: one parse per file, a registry of rules that
 each enforce an invariant this codebase learned the hard way (monotonic
 clocks on the serve path, a never-blocked event loop, strict
-backend → engine → serve layering, pickle-free shared caches, atomic cache
+engine → serve layering, pickle-free shared caches, atomic cache
 publishes, lock discipline, accountable broad excepts, a consistent public
 surface).  Run ``python -m tools.reprolint`` from the repo root;
 ``--list-rules`` prints the rule table, ``--format sarif`` emits SARIF for

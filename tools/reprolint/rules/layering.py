@@ -1,7 +1,7 @@
 """RL001 — the serve layer imports compute only via the ``repro.engine`` surface.
 
-The architecture is a strict stack (``repro.backend -> repro.engine ->
-repro.serve -> fleet/CLI``); serve code importing ``repro.core.*`` or an
+The architecture is a strict stack (``repro.engine -> repro.serve ->
+fleet/CLI``); serve code importing ``repro.core.*`` or an
 engine *submodule* couples the serving stack to compute internals and makes
 the public-surface promise in ``repro/__init__.py`` unenforceable.
 """
