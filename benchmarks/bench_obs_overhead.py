@@ -4,8 +4,11 @@ The tentpole claim of the tracing layer is that spans are cheap enough to
 leave on in production: plain tuples, no locks on the hot path, one ring
 insert per request.  This benchmark measures async serving throughput with
 the tracer fully on (``sample_rate=1.0`` — every request records a full
-span tree) against the same service with sampling off, interleaving the
-passes A/B/A/B so clock drift and cache warmup hit both sides equally.
+span tree) against the same service with sampling off.  Each round runs
+one pass of each side, alternating which side goes first (A/B, B/A, ...)
+so clock drift and cache warmup hit both sides equally, and the reported
+``traced_over_untraced`` is the median of the per-round ratios: one slow
+pass moves one round, not the estimate.
 
 Full mode asserts the traced run keeps at least 95% of the untraced
 throughput (the ISSUE's ≤5% overhead budget).  Smoke mode runs the same
@@ -14,6 +17,7 @@ traced at rate 1.0, none at rate 0.0.
 """
 
 import asyncio
+import statistics
 import time
 
 import numpy as np
@@ -65,23 +69,26 @@ def _run_pass(images, sample_rate):
 def test_tracing_overhead_within_budget(rng, smoke_mode, emit_result, emit_json_result):
     count = 12 if smoke_mode else 48
     side = 32 if smoke_mode else 64
-    rounds = 1 if smoke_mode else 3
+    # One smoke round read 0.74-1.35 on a shared host: too noisy for the 0.80 floor.
+    rounds = 15
     images = _distinct_images(rng, count, side)
 
     _run_pass(images, 0.0)  # warmup: JIT-ish costs (LUTs, allocator) off the books
-    traced_seconds = 0.0
-    untraced_seconds = 0.0
-    traced_metrics = untraced_metrics = None
-    for _ in range(rounds):
-        elapsed, untraced_metrics = _run_pass(images, 0.0)
-        untraced_seconds += elapsed
-        elapsed, traced_metrics = _run_pass(images, 1.0)
-        traced_seconds += elapsed
+    seconds = {0.0: [], 1.0: []}
+    metrics = {}
+    for index in range(rounds):
+        for rate in (0.0, 1.0) if index % 2 == 0 else (1.0, 0.0):
+            elapsed, metrics[rate] = _run_pass(images, rate)
+            seconds[rate].append(elapsed)
+    untraced_metrics, traced_metrics = metrics[0.0], metrics[1.0]
 
     total = rounds * count
-    untraced_rps = total / untraced_seconds
-    traced_rps = total / traced_seconds
-    ratio = traced_rps / untraced_rps
+    untraced_rps = total / sum(seconds[0.0])
+    traced_rps = total / sum(seconds[1.0])
+    # Per round, traced rps over untraced rps is untraced time over traced time.
+    ratio = statistics.median(
+        untraced / traced for untraced, traced in zip(seconds[0.0], seconds[1.0])
+    )
 
     # accounting: rate 1.0 records every request, rate 0.0 records none
     assert traced_metrics["trace"]["recorded"] == count
@@ -95,7 +102,7 @@ def test_tracing_overhead_within_budget(rng, smoke_mode, emit_result, emit_json_
     ]
     emit_result(
         f"Tracing overhead — {total} requests/side, {side}x{side} uint8 RGB, "
-        f"{rounds} interleaved rounds",
+        f"median of {rounds} alternating rounds",
         format_table("Traced vs untraced throughput", ["Mode", "req/s", "overhead"], rows),
     )
     emit_json_result(

@@ -544,7 +544,7 @@ def _run_http_serve(args: argparse.Namespace, service, theta_used, host: str, po
     return 0
 
 
-def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
+def _build_worker_spec(args: argparse.Namespace):
     """The picklable service recipe shared by every serve mode.
 
     Single-process ``--http``, the spool and JSONL drivers and the
@@ -570,9 +570,7 @@ def _build_worker_spec(args: argparse.Namespace, http_mode: bool):
         client_rate=args.client_rate,
         client_burst=args.client_burst,
         default_deadline_seconds=(
-            args.default_deadline_ms / 1000.0
-            if http_mode and args.default_deadline_ms is not None
-            else None
+            args.default_deadline_ms / 1000.0 if args.default_deadline_ms is not None else None
         ),
         adaptive=args.adaptive,
         max_body_bytes=int(args.max_body_mb * 1024 * 1024),
@@ -711,7 +709,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise ParameterError("--max-body-mb must allow at least one byte")
         if http_mode:
             http_host, http_port = _parse_http_address(args.http)
-        spec = _build_worker_spec(args, http_mode)
+        spec = _build_worker_spec(args)
         theta_used = spec.theta_used
         service = spec.build_service()
         if fleet_mode:
@@ -752,12 +750,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _drive() -> tuple:
         async with service:
-            entries = await run_jobs_async(
-                service,
-                jobs,
-                out_dir=out_dir,
-                default_deadline_ms=args.default_deadline_ms,
-            )
+            entries = await run_jobs_async(service, jobs, out_dir=out_dir)
             report = build_report(
                 service,
                 entries,

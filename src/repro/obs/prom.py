@@ -108,7 +108,7 @@ def render_prometheus(
     """
     base = dict(extra_labels or {})
     found: Dict[str, List[Tuple[Tuple, Any]]] = {}
-    for row, _, labels, (value,), _ in schema.leaves(metrics):
+    for row, _, labels, (value,) in schema.leaves(metrics):
         if row is not None and row.family is not None:
             samples = _samples(row, labels + row.labels, value)
             if samples:

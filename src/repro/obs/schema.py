@@ -1,8 +1,10 @@
 """The serve metrics schema: every metric leaf declared once.
 
 ``AsyncSegmentationService.metrics()``, the HTTP servers' ``http_metrics()``
-and the cache ``stats`` produce one nested dict per process.  :data:`METRICS`
-has one :class:`Metric` row per leaf of that tree, giving
+and the cache ``stats`` produce one nested dict per process.  Producers
+emit raw counters and gauges only; :func:`derive` fills every rate and
+summary from them.  :data:`METRICS` has one :class:`Metric` row per leaf of
+that tree, giving
 
 * its snapshot **path**, dotted keys such as ``lanes.{lane}.depth``.  A
   ``{name}`` segment matches any key and becomes the Prometheus label
@@ -12,15 +14,17 @@ has one :class:`Metric` row per leaf of that tree, giving
 * its fleet **merge** rule: how the supervisor combines the leaf across
   worker snapshots.  Counters sum.  Gauges that describe one shared
   resource (the disk L2, the shm ring) or one setting take the max.  Hit
-  rates, ``reuse_ratio`` and the ``latency_seconds`` summaries are
-  :class:`Recomputed` from the merged counters and sketches, never
-  averaged;
+  rates, ``mean_batch_size``, ``reuse_ratio`` and the ``latency_seconds``
+  summaries are :class:`Recomputed`: :func:`derive` computes them from the
+  counters and sketches beside them, for one worker's snapshot and for the
+  merged fleet tree alike, so they are never averaged;
 * its Prometheus **kind**, **family** and **help** text, plus any constant
   **labels**.  A row without a family is merged but not exported.
 
 :func:`repro.obs.render_prometheus` and :func:`merge_worker_metrics` are
 both walks over this table, so the exposition and the fleet merge cannot
-drift apart: adding a metric is one row.
+drift apart: adding a counter is one producer dict entry plus one row, and
+a derived leaf is one row.
 """
 
 from __future__ import annotations
@@ -28,7 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["METRICS", "Metric", "Recomputed", "as_float", "leaves", "merge_worker_metrics"]
+__all__ = [
+    "METRICS",
+    "Metric",
+    "Recomputed",
+    "as_float",
+    "derive",
+    "leaves",
+    "merge_worker_metrics",
+]
 
 
 # --------------------------------------------------------------------------- #
@@ -98,12 +110,6 @@ def slowest(values: List[Any]) -> Optional[Dict[str, Any]]:
     return max(exemplars, key=lambda e: as_float(e.get("seconds")), default=None)
 
 
-def weighted_mean(pairs: List[Tuple[Any, Any]]) -> float:
-    """Per-worker ``(mean, weight)`` pairs combined in proportion to their weights."""
-    weight = sum(_as_int(w) for _, w in pairs)
-    return sum(as_float(mean) * _as_int(w) for mean, w in pairs) / weight if weight else 0.0
-
-
 def calibrated_mean(values: List[Any]) -> float:
     """Mean over the workers whose estimate is calibrated (non-zero)."""
     calibrated = [value for value in map(as_float, values) if value > 0.0]
@@ -112,7 +118,7 @@ def calibrated_mean(values: List[Any]) -> float:
 
 @dataclass(frozen=True)
 class Recomputed:
-    """A leaf the merge derives from the merged dict holding it (``None``: left out)."""
+    """A leaf :func:`derive` computes from the dict holding it (``None``: left out)."""
 
     derive: Callable[[Dict[str, Any]], Any]
 
@@ -157,9 +163,8 @@ def summary_of(key: str) -> Recomputed:
 class Metric:
     """One metric leaf: where it lives, how it merges, how it is exported.
 
-    ``weight`` names a sibling leaf whose per-worker value weights this one
-    (the merge rule then receives ``(value, weight)`` pairs); ``always``
-    rows (top-level ones) are merged even when no worker reports the leaf.
+    ``always`` rows (top-level ones) are merged even when no worker reports
+    the leaf.
     """
 
     path: str
@@ -168,7 +173,6 @@ class Metric:
     family: Optional[str] = None
     help: str = ""
     labels: Tuple[Tuple[str, str], ...] = ()
-    weight: Optional[str] = None
     always: bool = False
 
 
@@ -188,7 +192,8 @@ METRICS: Tuple[Metric, ...] = (
     Metric("uptime_seconds", peak_real, "gauge", "uptime_seconds", "Service uptime."),
     Metric("throughput_rps", total_real, "gauge", "throughput_rps", "Completed requests per second since start."),
     Metric("batches", total, "counter", "batches_total", "Micro-batches processed."),
-    Metric("mean_batch_size", weighted_mean, "gauge", "mean_batch_size", "Mean micro-batch size.", weight="batches"),
+    Metric("batched_items", total, "counter", "batched_items_total", "Requests processed in micro-batches."),
+    Metric("mean_batch_size", ratio(["batched_items"], ["batches"]), "gauge", "mean_batch_size", "Mean micro-batch size."),
     Metric("ewma_request_seconds", calibrated_mean, "gauge", "ewma_request_seconds", "EWMA of per-request service time."),
     Metric(_SCRAPED, total, "gauge", "fleet_workers_scraped", "Workers merged into this snapshot."),
     Metric("scrape_failures", total, "counter", "fleet_scrape_failures_total", "Admin scrapes failed and skipped."),
@@ -224,9 +229,7 @@ METRICS: Tuple[Metric, ...] = (
     # Footprints take the max: workers sharing one L2 directory or one shm
     # segment each report the same footprint, so a sum would multiply it.
     Metric("cache.{tier}.currsize", peak, "gauge", "cache_entries", "Entries currently cached."),
-    Metric("cache.{tier}.maxsize", peak, "gauge", "cache_max_entries", "Cache capacity in entries."),
     Metric("cache.{tier}.max_entries", peak, "gauge", "cache_max_entries", "Cache capacity in entries."),
-    Metric("cache.{tier}.size_bytes", peak, "gauge", "cache_size_bytes", "Bytes currently cached."),
     Metric("cache.{tier}.current_bytes", peak, "gauge", "cache_size_bytes", "Bytes currently cached."),
     Metric("cache.{tier}.max_bytes", peak, "gauge", "cache_max_bytes", "Cache capacity in bytes."),
     Metric("cache.{tier}.slot_count", peak, "gauge", "cache_slots", "Slots in the shared-memory ring."),
@@ -313,12 +316,12 @@ def leaves(*trees: Any) -> List[Tuple[Any, ...]]:
     """Every leaf a :data:`METRICS` row matches in one or more snapshots.
 
     The snapshots are walked together, once.  Each matched path comes out
-    once as ``(row, path, labels, values, parents)``: the row, the concrete
-    key path, the wildcard labels, the value in every snapshot that has the
-    path, and the dicts at the path's parent.  A section that every
-    snapshot reports as ``None`` or empty comes out with row ``None``.  Keys
-    no row names are skipped, and a malformed subtree (a list where a dict
-    belongs) or a non-dict snapshot matches nothing.
+    once as ``(row, path, labels, values)``: the row, the concrete key path,
+    the wildcard labels and the value in every snapshot that has the path.
+    A section that every snapshot reports as ``None`` or empty comes out
+    with row ``None``.  Keys no row names are skipped, and a malformed
+    subtree (a list where a dict belongs) or a non-dict snapshot matches
+    nothing.
     """
     out: List[Tuple[Any, ...]] = []
     trees = tuple(tree for tree in trees if isinstance(tree, dict))
@@ -353,13 +356,13 @@ def _walk(
         values = [tree[key] for tree in trees if key in tree]
         where = path + (key,)
         if child.row is not None:
-            out.append((child.row, where, bound, values, trees))
+            out.append((child.row, where, bound, values))
             continue
         subtrees = tuple(value for value in values if isinstance(value, dict) and value)
         if subtrees:
             _walk(subtrees, child, where, bound, out)
         elif any(value is None or isinstance(value, dict) for value in values):
-            out.append((None, where, bound, values, trees))
+            out.append((None, where, bound, values))
 
 
 def _parents(tree: Any, segments: Tuple[str, ...]) -> Iterator[Dict[str, Any]]:
@@ -392,36 +395,47 @@ _RECOMPUTED = [
 _ALWAYS = [row for row in METRICS if row.always]
 
 
+def derive(tree: Dict[str, Any]) -> Dict[str, Any]:
+    """Fill every :class:`Recomputed` leaf ``tree`` does not already hold.
+
+    The one place a derived leaf is computed, for a worker's
+    ``metrics()`` and for :func:`merge_worker_metrics` alike, so a worker
+    and its fleet cannot derive a rate differently.  A leaf the producer
+    already holds (a worker's exact ``latency_seconds`` summaries) is kept.
+    Returns ``tree``, filled in place.
+    """
+    for row, segments in _RECOMPUTED:
+        for node in _parents(tree, segments[:-1]):
+            if segments[-1] not in node:
+                value = row.merge.derive(node)
+                if value is not None:
+                    node[segments[-1]] = value
+    return tree
+
+
 def merge_worker_metrics(snapshots: List[Any]) -> Dict[str, Any]:
     """Fleet-wide view from per-worker ``service.metrics()`` snapshots.
 
     The snapshots are walked together once; the values at each matched path
-    combine by their row's merge rule, then the :class:`Recomputed` leaves
-    (percentiles, hit rates, ``reuse_ratio``) are derived from the merged
-    tree rather than averaged.  A leaf no worker reports is left out
-    (``always`` rows excepted), and a section that every worker reports as
-    ``None`` (or empty) stays ``None`` (or empty).  A snapshot that is not
-    a dict (truncated JSON, an error document) is skipped wholesale — the
-    caller's scrape-failure counter reports that kind of degradation, not
-    an exception here.
+    combine by their row's merge rule.  :class:`Recomputed` leaves are
+    never copied: :func:`derive` computes them (percentiles, hit rates,
+    ``mean_batch_size``, ``reuse_ratio``) from the merged tree rather than
+    averaging them.  A leaf no worker reports is left out (``always`` rows
+    excepted), and a section that every worker reports as ``None`` (or
+    empty) stays ``None`` (or empty).  A snapshot that is not a dict
+    (truncated JSON, an error document) is skipped wholesale — the caller's
+    scrape-failure counter reports that kind of degradation, not an
+    exception here.
     """
     snapshots = [snapshot for snapshot in snapshots if isinstance(snapshot, dict)]
     merged: Dict[str, Any] = {_SCRAPED: len(snapshots)}
     if not snapshots:
         return merged
-    for row, path, _, values, parents in leaves(*snapshots):
+    for row, path, _, values in leaves(*snapshots):
         if row is None:
             _put(merged, path, None if any(value is None for value in values) else {})
         elif not isinstance(row.merge, Recomputed):
-            key = path[-1]
-            if row.weight:
-                values = [(node[key], node.get(row.weight)) for node in parents if key in node]
             _put(merged, path, row.merge(values))
     for row in _ALWAYS:
         merged.setdefault(row.path, row.merge([]))
-    for row, segments in _RECOMPUTED:
-        for node in _parents(merged, segments[:-1]):
-            value = row.merge.derive(node)
-            if value is not None:
-                node[segments[-1]] = value
-    return merged
+    return derive(merged)

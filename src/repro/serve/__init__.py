@@ -89,17 +89,13 @@ _EXPORTS = {
     "SegmentClient": "_http_client",
     "HttpSegmentResult": "_http_client",
     "ResultCache": "_cache",
-    "CacheStats": "_cache",
     "TieredResultCache": "_cache",
-    "TieredCacheStats": "_cache",
     "image_digest": "_cache",
     "config_digest": "_cache",
     "tile_key": "_cache",
     "TileCacheAdapter": "_cache",
     "DiskResultCache": "_diskcache",
-    "DiskCacheStats": "_diskcache",
     "SharedMemoryResultCache": "_shmcache",
-    "ShmCacheStats": "_shmcache",
     "Job": "_spool",
     "iter_spool_jobs": "_spool",
     "iter_jsonl_jobs": "_spool",
@@ -127,20 +123,18 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ._aio import AsyncSegmentationService, Priority, TokenBucket
     from ._batcher import AdaptiveConfig, AdaptiveController
     from ._cache import (
-        CacheStats,
         ResultCache,
-        TieredCacheStats,
         TieredResultCache,
         TileCacheAdapter,
         config_digest,
         image_digest,
         tile_key,
     )
-    from ._diskcache import DiskCacheStats, DiskResultCache
+    from ._diskcache import DiskResultCache
     from ._fleet import ServeFleet, WorkerSpec, merge_worker_metrics
     from ._http import HttpSegmentationServer, status_for_exception
     from ._http_client import HttpSegmentResult, SegmentClient
-    from ._shmcache import SharedMemoryResultCache, ShmCacheStats
+    from ._shmcache import SharedMemoryResultCache
     from ._spool import (
         Job,
         build_report,

@@ -72,6 +72,7 @@ from ..errors import (
 )
 from ..metrics.runtime import LatencyRecorder
 from ..obs.log import get_logger
+from ..obs.schema import derive
 from ..obs.trace import Trace, Tracer
 from ._batcher import AdaptiveConfig, AdaptiveController
 from ._cache import (
@@ -587,7 +588,6 @@ class AsyncSegmentationService:
         self._closed = False
         self._admitting = 0  # submits past the closed check, not yet queued
         self._started_at: Optional[float] = None
-        self._requests = 0
         self._completed = 0
         self._failed = 0
         self._cancelled = 0
@@ -603,9 +603,6 @@ class AsyncSegmentationService:
         # the per-tile cache hook rides the service cache so every tier —
         # including a fleet's shared shm/disk tiers — carries tile entries.
         self._delta: Optional[DeltaStreamEngine] = None
-        self._delta_frames = 0
-        self._delta_tiles_reused = 0
-        self._delta_tiles_recomputed = 0
         if delta:
             self._delta = DeltaStreamEngine(
                 engine,
@@ -929,7 +926,6 @@ class AsyncSegmentationService:
                 trace=trace,
                 stream_id=str(stream_id) if stream_id is not None else None,
             )
-            self._requests += 1
             state.submitted += 1
             state.queue.append(request)
             assert self._wakeup is not None  # _ensure_worker ran above
@@ -964,7 +960,6 @@ class AsyncSegmentationService:
         if trace is not None:
             trace.add("scoring", score_start, self._clock())
             trace.annotate(cache_hit=True)
-        self._requests += 1
         state.submitted += 1
         self._record_completion(state, submitted_at, trace=trace)
         return result
@@ -1146,14 +1141,9 @@ class AsyncSegmentationService:
                 # event loop thread, like every other counter mutation.
                 delta_stats = result.segmentation.extras.get("delta")
                 if delta_stats and request.stream_id is not None:
-                    reused = int(delta_stats.get("tiles_reused", 0))
-                    recomputed = int(delta_stats.get("tiles_recomputed", 0))
                     state.delta_frames += 1
-                    state.delta_tiles_reused += reused
-                    state.delta_tiles_recomputed += recomputed
-                    self._delta_frames += 1
-                    self._delta_tiles_reused += reused
-                    self._delta_tiles_recomputed += recomputed
+                    state.delta_tiles_reused += int(delta_stats.get("tiles_reused", 0))
+                    state.delta_tiles_recomputed += int(delta_stats.get("tiles_recomputed", 0))
             self._record_completion(state, request.submitted_at, now=now, trace=request.trace)
             request.future.set_result(result)
 
@@ -1186,7 +1176,12 @@ class AsyncSegmentationService:
     # observability
     # ------------------------------------------------------------------ #
     def metrics(self) -> Dict[str, Any]:
-        """JSON-friendly snapshot: totals, per-lane health, cache tiers."""
+        """JSON-friendly snapshot: totals, per-lane health, cache tiers.
+
+        Everything here is a raw counter, gauge or sketch (a total over
+        the lanes is summed from them); :func:`repro.obs.schema.derive`
+        then fills the rates and ratios, exactly as a fleet merge does.
+        """
         elapsed = self._clock() - self._started_at if self._started_at is not None else 0.0
         lanes = {}
         for lane in Priority:
@@ -1206,14 +1201,11 @@ class AsyncSegmentationService:
                     "tiles_recomputed": state.delta_tiles_recomputed,
                 },
             }
-        cache_stats = None
-        if self.cache is not None:
-            stats = getattr(self.cache, "stats", None)
-            if stats is not None:
-                cache_stats = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
-        expired = sum(state.shed_expired for state in self._lanes.values())
-        return {
-            "requests": self._requests,
+        states = self._lanes.values()
+        requests = sum(state.submitted for state in states)
+        expired = sum(state.shed_expired for state in states)
+        snapshot = {
+            "requests": requests,
             "completed": self._completed,
             "failed": self._failed,
             "cancelled": self._cancelled,
@@ -1221,11 +1213,11 @@ class AsyncSegmentationService:
             # Admitted but not yet settled: admission sheds never count as
             # requests, queued expiries do.
             "in_flight": (
-                self._requests - self._completed - self._failed - self._cancelled - expired
+                requests - self._completed - self._failed - self._cancelled - expired
             ),
             "quota_rejections": self._quota_rejections,
             "shed": {
-                "admission": sum(state.shed_admission for state in self._lanes.values()),
+                "admission": sum(state.shed_admission for state in states),
                 "expired": expired,
             },
             "queue_depth": self._queue_depth(),
@@ -1235,11 +1227,11 @@ class AsyncSegmentationService:
             "latency_seconds": self._latency.summary(),
             "latency_sketch": self._latency.sketch(),
             "batches": self._batches,
-            "mean_batch_size": self._batched_items / self._batches if self._batches else 0.0,
+            "batched_items": self._batched_items,
             "ewma_request_seconds": self._ewma_request_seconds,
             "adaptive": self._adaptive_metrics(),
             "delta": self._delta_metrics(),
-            "cache": cache_stats,
+            "cache": getattr(self.cache, "stats", None),
             "trace": self.tracer.counters(),
             "latency_exemplar": (
                 {"trace_id": self._exemplar["trace_id"], "seconds": self._exemplar["seconds"]}
@@ -1247,6 +1239,7 @@ class AsyncSegmentationService:
                 else None
             ),
         }
+        return derive(snapshot)
 
     def trace(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """A completed trace from the flight recorder, or ``None``."""
@@ -1259,17 +1252,16 @@ class AsyncSegmentationService:
     def _delta_metrics(self) -> Optional[Dict[str, Any]]:
         if self._delta is None:
             return None
-        tiles = self._delta_tiles_reused + self._delta_tiles_recomputed
+        states = self._lanes.values()
         return {
             "enabled": True,
             "supported": self._delta.supports_delta,
             "tile_shape": list(self._delta.tile_shape),
             "streams": len(self._delta.store),
             "max_streams": self._delta.store.max_streams,
-            "frames": self._delta_frames,
-            "tiles_reused": self._delta_tiles_reused,
-            "tiles_recomputed": self._delta_tiles_recomputed,
-            "reuse_ratio": self._delta_tiles_reused / tiles if tiles else 0.0,
+            "frames": sum(state.delta_frames for state in states),
+            "tiles_reused": sum(state.delta_tiles_reused for state in states),
+            "tiles_recomputed": sum(state.delta_tiles_recomputed for state in states),
         }
 
     def _adaptive_metrics(self) -> Optional[Dict[str, Any]]:

@@ -21,7 +21,6 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -30,9 +29,7 @@ from ..base import SegmentationResult
 from ..errors import ParameterError
 
 __all__ = [
-    "CacheStats",
     "ResultCache",
-    "TieredCacheStats",
     "TieredResultCache",
     "TileCacheAdapter",
     "image_digest",
@@ -221,34 +218,6 @@ def _probe_tier(tier: Any, name: str, key: CacheKey, trace: Any) -> Optional[Any
     return value
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """A point-in-time snapshot of cache effectiveness counters."""
-
-    hits: int
-    misses: int
-    evictions: int
-    currsize: int
-    maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache has never been queried)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form used by service metric snapshots."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "currsize": self.currsize,
-            "maxsize": self.maxsize,
-            "hit_rate": self.hit_rate,
-        }
-
-
 class ResultCache:
     """Thread-safe LRU cache addressed by content digests.
 
@@ -312,68 +281,19 @@ class ResultCache:
             return key in self._entries
 
     @property
-    def stats(self) -> CacheStats:
-        """A consistent snapshot of the effectiveness counters."""
+    def stats(self) -> Dict[str, int]:
+        """A consistent snapshot of the raw counters (rates: ``repro.obs.schema``)."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                currsize=len(self._entries),
-                maxsize=self.max_entries,
-            )
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "currsize": len(self._entries),
+                "max_entries": self.max_entries,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResultCache(max_entries={self.max_entries}, size={len(self)})"
-
-
-@dataclass(frozen=True)
-class TieredCacheStats:
-    """Combined effectiveness snapshot of a tiered (L1 [+ shm] + L2) cache."""
-
-    l1: Any
-    l2: Any
-    shm: Any = None
-
-    @property
-    def l1_hit_rate(self) -> float:
-        """L1 hits over all lookups seen by the tiered cache."""
-        return self.l1.hit_rate
-
-    @property
-    def l2_hit_rate(self) -> float:
-        """L2 hits over the lookups that fell through the faster tiers."""
-        return self.l2.hit_rate
-
-    @property
-    def shm_hit_rate(self) -> float:
-        """Shm hits over the lookups that fell through L1 (0.0 without shm)."""
-        return self.shm.hit_rate if self.shm is not None else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form used by service metric snapshots."""
-        document = {
-            "l1": self.l1.as_dict(),
-            "l2": self.l2.as_dict(),
-            "l1_hit_rate": self.l1_hit_rate,
-            "l2_hit_rate": self.l2_hit_rate,
-            "hit_rate": self.hit_rate,
-        }
-        if self.shm is not None:
-            document["shm"] = self.shm.as_dict()
-            document["shm_hit_rate"] = self.shm_hit_rate
-        return document
-
-    @property
-    def hit_rate(self) -> float:
-        """Overall hit rate: a hit in any tier counts."""
-        lookups = self.l1.hits + self.l1.misses
-        if not lookups:
-            return 0.0
-        hits = self.l1.hits + self.l2.hits
-        if self.shm is not None:
-            hits += self.shm.hits
-        return hits / lookups
 
 
 class TieredResultCache:
@@ -472,13 +392,13 @@ class TieredResultCache:
         return self.shm is not None and key in self.shm
 
     @property
-    def stats(self) -> TieredCacheStats:
-        """Per-tier counters plus combined hit rates."""
-        return TieredCacheStats(
-            l1=self.l1.stats,
-            l2=self.l2.stats,
-            shm=self.shm.stats if self.shm is not None else None,
-        )
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """Each tier's raw counters by tier name; the roll-ups are derived leaves."""
+        tiers = {"l1": self.l1.stats}
+        if self.shm is not None:
+            tiers["shm"] = self.shm.stats
+        tiers["l2"] = self.l2.stats
+        return tiers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TieredResultCache(l1={self.l1!r}, shm={self.shm!r}, l2={self.l2!r})"

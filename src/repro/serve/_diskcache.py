@@ -28,7 +28,7 @@ Design constraints and how they are met:
   by mtime are evicted first.  A hit refreshes the entry's mtime, making the
   policy LRU across *all* processes sharing the directory, not just this one.
 * **corruption tolerance** — an unreadable or truncated entry is treated as a
-  miss, deleted, and counted in ``stats.errors`` instead of raising.
+  miss, deleted, and counted in ``stats["errors"]`` instead of raising.
 
 Entries hold exactly what the serving layer caches in memory: the raw
 :class:`~repro.base.SegmentationResult` plus the annotation-free binary mask,
@@ -45,7 +45,6 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +53,7 @@ from ..base import SegmentationResult
 from ..errors import CacheError, ParameterError
 from ._cache import CacheKey
 
-__all__ = ["DiskCacheStats", "DiskResultCache"]
+__all__ = ["DiskResultCache"]
 
 #: Default byte bound — generous for label maps, tiny next to image datasets.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -105,56 +104,6 @@ def _json_safe(value: Any, depth: int = 0) -> Tuple[bool, Any]:
             out[key] = converted
         return True, out
     return False, None
-
-
-@dataclass(frozen=True)
-class DiskCacheStats:
-    """Point-in-time effectiveness counters of a :class:`DiskResultCache`.
-
-    ``evictions``/``evicted_bytes`` count entries (and their on-disk bytes)
-    removed by bound-enforcing sweeps; ``corrupt_dropped`` counts entries
-    deleted because they failed to decode (every one is also counted in
-    ``errors``, which additionally covers I/O failures).  Together with the
-    hit/miss counters these are the cache-warming and eviction telemetry the
-    serving layer surfaces through ``service.metrics()``.
-    """
-
-    hits: int
-    misses: int
-    stores: int
-    evictions: int
-    evicted_bytes: int
-    corrupt_dropped: int
-    errors: int
-    currsize: int
-    current_bytes: int
-    max_entries: int
-    max_bytes: int
-    hit_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache has never been queried)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form used by service metric snapshots."""
-        return {
-            "hits": self.hits,
-            "hit_bytes": self.hit_bytes,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-            "corrupt_dropped": self.corrupt_dropped,
-            "errors": self.errors,
-            "currsize": self.currsize,
-            "current_bytes": self.current_bytes,
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class _DirectoryLock:
@@ -526,24 +475,30 @@ class DiskResultCache:
                 self._errors += failed
 
     @property
-    def stats(self) -> DiskCacheStats:
-        """Effectiveness counters plus the current on-disk footprint."""
+    def stats(self) -> Dict[str, int]:
+        """Raw effectiveness counters plus the current on-disk footprint.
+
+        ``evictions``/``evicted_bytes`` count entries (and their on-disk
+        bytes) removed by bound-enforcing sweeps; ``corrupt_dropped`` counts
+        entries deleted because they failed to decode (every one is also
+        counted in ``errors``, which additionally covers I/O failures).
+        """
         rows = self._scan()
         with self._stats_lock:
-            return DiskCacheStats(
-                hits=self._hits,
-                hit_bytes=self._hit_bytes,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                evicted_bytes=self._evicted_bytes,
-                corrupt_dropped=self._corrupt_dropped,
-                errors=self._errors,
-                currsize=len(rows),
-                current_bytes=sum(size for _, _, _, size in rows),
-                max_entries=self.max_entries,
-                max_bytes=self.max_bytes,
-            )
+            return {
+                "hits": self._hits,
+                "hit_bytes": self._hit_bytes,
+                "misses": self._misses,
+                "stores": self._stores,
+                "evictions": self._evictions,
+                "evicted_bytes": self._evicted_bytes,
+                "corrupt_dropped": self._corrupt_dropped,
+                "errors": self._errors,
+                "currsize": len(rows),
+                "current_bytes": sum(size for _, _, _, size in rows),
+                "max_entries": self.max_entries,
+                "max_bytes": self.max_bytes,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -748,17 +748,13 @@ class HttpSegmentationServer:
             "priority": str(options["priority"]).lower(),
             "metrics": {key: float(value) for key, value in result.metrics.items()},
         }
-        # Freshly-computed stream frames report their dirty-tile accounting;
-        # a whole-image cache hit's stored extras may predate this request's
-        # stream, so they are only echoed for non-hit responses.
+        # Freshly-computed stream frames echo the engine's per-frame
+        # dirty-tile accounting as it computed it (minus its internal
+        # ancestor flag); a whole-image cache hit's stored extras may predate
+        # this request's stream, so they are only echoed for non-hit responses.
         delta = seg.extras.get("delta")
         if delta and options.get("stream_id") is not None and not scalars["cache_hit"]:
-            scalars["delta"] = {
-                "tiles_total": int(delta.get("tiles_total", 0)),
-                "tiles_reused": int(delta.get("tiles_reused", 0)),
-                "tiles_recomputed": int(delta.get("tiles_recomputed", 0)),
-                "reuse_ratio": float(delta.get("reuse_ratio", 0.0)),
-            }
+            scalars["delta"] = {k: v for k, v in delta.items() if k != "had_ancestor"}
         accept = request.headers.get("accept", "").partition(";")[0].strip().lower()
         if accept == "application/x-npy":
             # Zero-copy body: the npy header bytes plus a memoryview straight

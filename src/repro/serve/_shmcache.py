@@ -47,9 +47,8 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +57,7 @@ from ..errors import CacheError, ParameterError
 from ._cache import CacheKey
 from ._diskcache import _json_safe
 
-__all__ = ["ShmCacheStats", "SharedMemoryResultCache", "DEFAULT_SLOT_BYTES"]
+__all__ = ["SharedMemoryResultCache", "DEFAULT_SLOT_BYTES"]
 
 #: Default per-slot capacity — holds the labels + binary of a ~512×512 image.
 DEFAULT_SLOT_BYTES = 4 * 1024 * 1024
@@ -92,55 +91,6 @@ def _key_digest(key: CacheKey) -> bytes:
     hasher.update(b"\x00")
     hasher.update(str(config_part).encode("utf-8"))
     return hasher.digest()
-
-
-@dataclass(frozen=True)
-class ShmCacheStats:
-    """Point-in-time effectiveness counters of a shared-memory cache tier.
-
-    ``torn_reads`` counts lookups that found the right slot but lost a race
-    with a writer (generation flip or CRC mismatch) — each one also counts
-    as a miss.  ``store_skips`` counts values too large for a slot (they
-    stay disk-only).  ``evictions`` counts direct-mapped overwrites of a
-    *different* key's live entry.
-    """
-
-    hits: int
-    misses: int
-    stores: int
-    store_skips: int
-    evictions: int
-    torn_reads: int
-    errors: int
-    currsize: int
-    slot_count: int
-    slot_bytes: int
-    size_bytes: int
-    hit_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache has never been queried)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form used by service metric snapshots."""
-        return {
-            "hits": self.hits,
-            "hit_bytes": self.hit_bytes,
-            "misses": self.misses,
-            "stores": self.stores,
-            "store_skips": self.store_skips,
-            "evictions": self.evictions,
-            "torn_reads": self.torn_reads,
-            "errors": self.errors,
-            "currsize": self.currsize,
-            "slot_count": self.slot_count,
-            "slot_bytes": self.slot_bytes,
-            "size_bytes": self.size_bytes,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class SharedMemoryResultCache:
@@ -477,24 +427,32 @@ class SharedMemoryResultCache:
         return payload_len > 0 and not (gen & 1) and stored_digest == digest
 
     @property
-    def stats(self) -> ShmCacheStats:
-        """Effectiveness counters plus the ring's live-slot occupancy."""
+    def stats(self) -> Dict[str, int]:
+        """Raw effectiveness counters plus the ring's live-slot occupancy.
+
+        ``torn_reads`` counts lookups that found the right slot but lost a
+        race with a writer (generation flip or CRC mismatch); each one also
+        counts as a miss.  ``store_skips`` counts values too large for a
+        slot (they stay disk-only).  ``evictions`` counts direct-mapped
+        overwrites of a *different* key's live entry.  ``max_bytes`` is the
+        segment's size (superblock plus slots), not the bytes held.
+        """
         currsize = self._live_slots()
         with self._stats_lock:
-            return ShmCacheStats(
-                hits=self._hits,
-                hit_bytes=self._hit_bytes,
-                misses=self._misses,
-                stores=self._stores,
-                store_skips=self._store_skips,
-                evictions=self._evictions,
-                torn_reads=self._torn_reads,
-                errors=self._errors,
-                currsize=currsize,
-                slot_count=self.slot_count,
-                slot_bytes=self.slot_bytes,
-                size_bytes=_SUPER_SIZE + self.slot_count * self.slot_bytes,
-            )
+            return {
+                "hits": self._hits,
+                "hit_bytes": self._hit_bytes,
+                "misses": self._misses,
+                "stores": self._stores,
+                "store_skips": self._store_skips,
+                "evictions": self._evictions,
+                "torn_reads": self._torn_reads,
+                "errors": self._errors,
+                "currsize": currsize,
+                "slot_count": self.slot_count,
+                "slot_bytes": self.slot_bytes,
+                "max_bytes": _SUPER_SIZE + self.slot_count * self.slot_bytes,
+            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -226,7 +226,6 @@ async def run_jobs_async(
     jobs: Iterable[Job],
     out_dir: Optional[str] = None,
     max_pending: Optional[int] = None,
-    default_deadline_ms: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
     """Feed ``jobs`` through an ``AsyncSegmentationService``; one report entry per job.
 
@@ -236,7 +235,8 @@ async def run_jobs_async(
     most ``max_pending`` requests are outstanding (default: twice the
     service queue size), keeping driver memory bounded on endless watch
     streams.  Jobs carry their lane in ``job.priority`` and an optional
-    per-job ``deadline_ms`` (falling back to ``default_deadline_ms``).
+    per-job ``deadline_ms`` (without one, the service's ``default_deadline``
+    applies).
     Unreadable images, shed or expired requests (``DeadlineExceededError:
     ...``) and other per-request failures become ``error`` entries — one
     bad job never aborts the run.  With ``out_dir``, each successful job
@@ -268,12 +268,11 @@ async def run_jobs_async(
     writes: List[Future] = []
 
     async def _serve(job: Job, image: np.ndarray) -> Dict[str, Any]:
-        deadline_ms = job.deadline_ms if job.deadline_ms is not None else default_deadline_ms
         try:
             outcome = await service.submit(
                 image,
                 priority=job.priority,
-                deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
+                deadline=job.deadline_ms / 1000.0 if job.deadline_ms is not None else None,
                 client_id=job.client,
             )
         except Exception as exc:  # reprolint: disable=RL004 error becomes the job's report entry

@@ -68,7 +68,7 @@ def test_serve_spool_writes_schema_conformant_report(tmp_path, rng):
     )
     # service metrics are embedded
     assert report["metrics"]["completed"] == 3
-    assert report["metrics"]["cache"]["maxsize"] == 256
+    assert report["metrics"]["cache"]["max_entries"] == 256
     assert report["service"]["max_batch_size"] == 16
 
 
@@ -467,6 +467,18 @@ def test_serve_async_jsonl_jobs_with_priorities(tmp_path, rng, monkeypatch):
     assert lanes["high"]["completed"] == 1
     assert lanes["low"]["completed"] == 1
     assert report["metrics"]["shed"] == {"admission": 0, "expired": 0}
+
+
+def test_serve_spool_default_deadline_is_the_service_default(tmp_path, rng):
+    # One path for spool and --http: the flag sets the service's default.
+    spool = tmp_path / "spool"
+    _make_spool(spool, rng, count=1)
+    report_path = tmp_path / "report.json"
+    args = ["serve", str(spool), "--default-deadline-ms", "60000", "--report", str(report_path)]
+    assert main(args) == 0
+    assert json.loads(report_path.read_text())["service"]["default_deadline"] == 60.0
+    # A non-positive default is a configuration error, not a shed per job.
+    assert main(["serve", str(spool), "--default-deadline-ms", "0"]) == 2
 
 
 def test_serve_async_custom_priority_field(tmp_path, rng, monkeypatch):

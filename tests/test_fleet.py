@@ -56,6 +56,7 @@ def _snapshot(completed, l2_hits=0, weight=4, latency=0.01):
         "in_flight": 1,
         "queue_depth": 1,
         "batches": completed,
+        "batched_items": completed,
         "mean_batch_size": 1.0,
         "throughput_rps": float(completed),
         "uptime_seconds": 2.0,
@@ -80,7 +81,7 @@ def _snapshot(completed, l2_hits=0, weight=4, latency=0.01):
             "max_batch_size": weight,
         },
         "cache": {
-            "l1": {"hits": 1, "misses": 2, "currsize": 3, "maxsize": 256},
+            "l1": {"hits": 1, "misses": 2, "currsize": 3, "max_entries": 256},
             "l2": {
                 "hits": l2_hits,
                 "misses": 2,
@@ -267,7 +268,7 @@ def _shm_doc(hits, stores=1, torn_reads=0):
         "currsize": 2,
         "slot_count": 15,
         "slot_bytes": 1 << 20,
-        "size_bytes": (15 << 20) + 64,
+        "max_bytes": (15 << 20) + 64,
         "hit_rate": hits / lookups,
     }
 
@@ -282,7 +283,7 @@ def test_merge_includes_shm_tier_counters_and_gauges():
     assert shm["hits"] == 2
     assert shm["torn_reads"] == 1  # summed like the other counters
     assert shm["slot_count"] == 15  # one shared ring: max, not sum
-    assert shm["size_bytes"] == (15 << 20) + 64
+    assert shm["max_bytes"] == (15 << 20) + 64
     assert merged["cache"]["shm_hit_rate"] == pytest.approx(2 / 4)  # 2 hits, 2 misses
     # The combined hit rate counts shm hits alongside l1 + l2 over lookups.
     assert merged["cache"]["hit_rate"] == pytest.approx((2 + 0 + 2) / 6)

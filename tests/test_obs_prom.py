@@ -3,13 +3,15 @@
 import asyncio
 import copy
 import fnmatch
+import threading
 
 import numpy as np
 
+from repro.base import BaseSegmenter
 from repro.metrics.runtime import LatencyRecorder
 from repro.obs import render_prometheus, validate_exposition
 from repro.obs.prom import main
-from repro.obs.schema import METRICS, leaves
+from repro.obs.schema import METRICS, Recomputed, leaves
 from repro.serve import merge_worker_metrics
 
 
@@ -29,6 +31,7 @@ def _metrics():
         "uptime_seconds": 12.5,
         "throughput_rps": 0.32,
         "batches": 3,
+        "batched_items": 4,
         "mean_batch_size": 1.33,
         "workers_scraped": 2,
         "scrape_failures": 1,
@@ -56,8 +59,8 @@ def _metrics():
         "latency_sketch": sketch,
         "latency_exemplar": {"trace_id": "deadbeefdeadbeef", "seconds": 0.210},
         "cache": {
-            "l1": {"hits": 3, "misses": 1, "currsize": 2, "maxsize": 256, "hit_bytes": 1024},
-            "l2": {"hits": 1, "misses": 3, "currsize": 4, "size_bytes": 4096},
+            "l1": {"hits": 3, "misses": 1, "currsize": 2, "max_entries": 256, "hit_bytes": 1024},
+            "l2": {"hits": 1, "misses": 3, "currsize": 4, "current_bytes": 4096},
         },
         "trace": {"started": 4, "recorded": 4, "sampled_out": 0, "retained": 4},
         "http": {
@@ -258,6 +261,102 @@ def test_every_table_row_matches_a_live_or_merged_leaf(tmp_path):
     fleet = {**merge_worker_metrics([snapshot, snapshot]), "scrape_failures": 0}
     matched = {row.path for row, *_ in leaves(snapshot) + leaves(fleet) if row is not None}
     assert [row.path for row in METRICS if row.path not in matched] == []
+
+
+def test_shm_ring_capacity_is_exported_as_max_bytes_not_as_bytes_cached():
+    """The ring's segment size is its capacity, whatever the ring holds."""
+    from repro.serve import SharedMemoryResultCache, WorkerSpec
+
+    ring = SharedMemoryResultCache.create(64 << 20)
+    try:
+        # A fleet worker's cache without --cache-dir: memory L1 over the ring.
+        service = WorkerSpec(shm_bytes=64 << 20, shm_name=ring.name).build_service()
+        try:
+            text = render_prometheus(service.metrics())
+        finally:
+            service.cache.close()
+    finally:
+        ring.close()
+    segment = f" {64 + ring.slot_count * ring.slot_bytes}"  # superblock + slots
+    assert f'repro_cache_max_bytes{{tier="l2"}}{segment}' in text
+    cached = [line for line in text.splitlines() if line.startswith("repro_cache_size_bytes")]
+    assert not [line for line in cached if line.endswith(segment)]
+
+
+class _GatedPointwise(BaseSegmenter):
+    """Blocks until released, so requests queue behind it and batch."""
+
+    name = "gated-pointwise"
+    pointwise = True
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def _segment(self, image):
+        self.entered.set()
+        assert self.gate.wait(30.0), "gate never released"
+        return (np.asarray(image)[..., 0] > 127).astype(np.int64)
+
+
+def test_a_worker_and_its_one_worker_merge_agree_on_every_derived_leaf(tmp_path):
+    from repro import BatchSegmentationEngine
+    from repro.serve import (
+        AsyncSegmentationService,
+        DiskResultCache,
+        ResultCache,
+        SharedMemoryResultCache,
+        TieredResultCache,
+    )
+
+    rng = np.random.default_rng(11)
+    segmenter = _GatedPointwise()
+    shm = SharedMemoryResultCache.create(4 << 20, slot_bytes=1 << 20)
+    cache = TieredResultCache(ResultCache(max_entries=64), DiskResultCache(str(tmp_path)), shm=shm)
+    service = AsyncSegmentationService(BatchSegmentationEngine(segmenter), cache=cache)
+    images = [rng.integers(0, 255, (16, 16, 3), dtype=np.uint8) for _ in range(4)]
+
+    async def drive():
+        async with service:
+            loop = asyncio.get_running_loop()
+            gated = asyncio.ensure_future(service.submit(images[0]))
+            assert await loop.run_in_executor(None, segmenter.entered.wait, 10.0)
+            queued = [asyncio.ensure_future(service.submit(image)) for image in images[1:]]
+            for _ in range(1000):
+                if service.metrics()["queue_depth"] == len(queued):
+                    break
+                await asyncio.sleep(0.01)
+            segmenter.gate.set()
+            await asyncio.gather(gated, *queued)  # the queued three form one batch
+            await service.submit(images[0])  # a cache hit
+            frame = rng.integers(0, 255, (128, 128, 3), dtype=np.uint8)
+            await service.submit(frame, stream_id="cam")
+            frame[:8, :8] = 0
+            await service.submit(frame, stream_id="cam")  # dirty-tile path
+            return service.metrics()
+
+    try:
+        m = asyncio.run(drive())
+    finally:
+        cache.close()
+    assert m["mean_batch_size"] > 1.0
+    assert m["cache"]["hit_rate"] > 0.0 and m["delta"]["reuse_ratio"] > 0.0
+    derived = {
+        path: row
+        for row, path, _, _ in leaves(m)
+        if row is not None and isinstance(row.merge, Recomputed)
+    }
+    named = {row.path for row in METRICS if isinstance(row.merge, Recomputed)}
+    assert {row.path for row in derived.values()} == named
+    merged = merge_worker_metrics([m])
+    for path, row in derived.items():
+        if path[-1] == "latency_seconds":
+            continue  # a worker keeps its exact summaries; a merge reads sketches
+        worker, fleet = m, merged
+        for key in path:
+            worker, fleet = worker[key], fleet[key]
+        assert fleet == worker, ".".join(path)
 
 
 # --------------------------------------------------------------------------- #

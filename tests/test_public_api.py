@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "8.0.0"
+    assert repro.__version__ == "9.0.0"
     assert "__version__" in repro.__all__
 
 
@@ -170,3 +170,28 @@ def test_the_backend_layer_is_gone():
     )
     assert proc.returncode == 2, proc.stderr
     assert "error: unrecognized arguments: --backend" in proc.stderr, proc.stderr
+
+
+def test_the_stats_classes_and_the_spool_default_deadline_are_gone(tmp_path):
+    # 9.0.0: every cache tier's stats is a dict of raw counters (rates are
+    # derived by repro.obs.schema), and a job without its own deadline gets
+    # the service's default_deadline, so run_jobs_async takes none.
+    for name in ("CacheStats", "TieredCacheStats", "DiskCacheStats", "ShmCacheStats"):
+        assert not hasattr(repro.serve, name), name
+        assert name not in repro.serve.__all__, name
+
+    shm = repro.serve.SharedMemoryResultCache.create(1 << 20, slot_bytes=1 << 16)
+    memory = repro.serve.ResultCache(max_entries=4)
+    disk = repro.serve.DiskResultCache(str(tmp_path))
+    tiered = repro.serve.TieredResultCache(memory, disk, shm=shm)
+    try:
+        for tier in (memory, disk, shm):
+            assert type(tier.stats) is dict and "hit_rate" not in tier.stats, tier
+        stats = tiered.stats
+        assert type(stats) is dict and set(stats) == {"l1", "shm", "l2"}
+        assert all("hit_rate" not in tier for tier in stats.values())
+    finally:
+        shm.close()
+
+    with pytest.raises(TypeError):
+        repro.serve.run_jobs_async(None, [], default_deadline_ms=1000.0)

@@ -44,9 +44,8 @@ def test_cache_hit_and_miss_counters():
     assert cache.get(key) is None
     cache.put(key, "value")
     assert cache.get(key) == "value"
-    stats = cache.stats
-    assert (stats.hits, stats.misses, stats.currsize) == (1, 1, 1)
-    assert stats.hit_rate == pytest.approx(0.5)
+    # Raw counters only: the hit rate is a derived leaf of repro.obs.schema.
+    assert cache.stats == {"hits": 1, "misses": 1, "evictions": 0, "currsize": 1, "max_entries": 4}
 
 
 def test_cache_evicts_least_recently_used():
@@ -58,7 +57,7 @@ def test_cache_evicts_least_recently_used():
     assert ("b", "c") not in cache
     assert cache.get(("a", "c")) == 1
     assert cache.get(("c", "c")) == 3
-    assert cache.stats.evictions == 1
+    assert cache.stats["evictions"] == 1
 
 
 def test_cache_key_for_binds_image_and_config(rng):
@@ -74,7 +73,7 @@ def test_cache_clear_preserves_counters():
     cache.get(("a", "c"))
     cache.clear()
     assert len(cache) == 0
-    assert cache.stats.hits == 1
+    assert cache.stats["hits"] == 1
 
 
 def test_cache_rejects_bad_parameters():

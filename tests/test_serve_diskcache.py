@@ -9,6 +9,7 @@ import pytest
 
 from repro.base import SegmentationResult
 from repro.errors import CacheError, ParameterError
+from repro.obs.schema import derive
 from repro.serve import DiskResultCache, ResultCache, TieredResultCache, image_digest
 
 
@@ -70,10 +71,10 @@ def test_miss_and_hit_counters(tmp_path, rng):
     cache.put(key, _value(rng))
     assert cache.get(key) is not None
     stats = cache.stats
-    assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
-    assert stats.hit_rate == pytest.approx(0.5)
-    assert stats.currsize == 1
-    assert stats.current_bytes > 0
+    assert (stats["hits"], stats["misses"], stats["stores"]) == (1, 1, 1)
+    assert "hit_rate" not in stats
+    assert stats["currsize"] == 1
+    assert stats["current_bytes"] > 0
 
 
 def test_entries_survive_a_new_cache_instance(tmp_path, rng):
@@ -119,7 +120,7 @@ def test_an_entry_in_the_6_0_0_layout_still_reads_as_a_hit(tmp_path, rng):
     assert np.array_equal(segmentation.labels, labels)
     assert np.array_equal(loaded_binary, binary)
     assert segmentation.extras == {"fast_path": "palette-lut"}
-    assert cache.stats.hits == 1
+    assert cache.stats["hits"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -134,7 +135,7 @@ def test_corrupt_entry_is_a_miss_and_is_purged(tmp_path, rng):
         fh.write(b"not an npz at all")
     assert cache.get(key) is None
     assert not os.path.exists(path)  # purged
-    assert cache.stats.errors == 1
+    assert cache.stats["errors"] == 1
 
 
 def test_truncated_entry_is_a_miss(tmp_path, rng):
@@ -171,7 +172,7 @@ def test_entry_count_bound_evicts_oldest_mtime_first(tmp_path, rng):
     cache._enforce_bounds()
     assert keys[0] not in cache  # the oldest entry went first
     assert keys[1] in cache and keys[2] in cache
-    assert cache.stats.evictions >= 1
+    assert cache.stats["evictions"] >= 1
 
 
 def test_hit_refreshes_mtime_for_lru(tmp_path, rng):
@@ -191,12 +192,12 @@ def test_hit_refreshes_mtime_for_lru(tmp_path, rng):
 def test_byte_bound_is_enforced(tmp_path, rng):
     probe = DiskResultCache(str(tmp_path / "probe"))
     probe.put(_key(rng), _value(rng))
-    entry_bytes = probe.stats.current_bytes
+    entry_bytes = probe.stats["current_bytes"]
     cache = DiskResultCache(str(tmp_path / "real"), max_bytes=2 * entry_bytes + entry_bytes // 2)
     for i in range(4):
         cache.put(_key(rng, config=f"cfg{i}"), _value(rng))
-    assert cache.stats.current_bytes <= cache.max_bytes
-    assert cache.stats.evictions >= 1
+    assert cache.stats["current_bytes"] <= cache.max_bytes
+    assert cache.stats["evictions"] >= 1
 
 
 def test_sweep_lock_with_future_mtime_is_still_broken(tmp_path, rng):
@@ -371,12 +372,13 @@ def test_tiered_promotes_l2_hits_into_l1(tmp_path, rng):
     assert key in tiered.l1
     assert tiered.get(key) is not None  # now pure L1
     stats = tiered.stats
-    assert stats.l1.hits == 1
-    assert stats.l2.hits == 1
-    assert stats.l1_hit_rate == pytest.approx(0.5)
-    assert stats.hit_rate == pytest.approx(1.0)
-    as_dict = stats.as_dict()
-    assert set(as_dict) == {"l1", "l2", "l1_hit_rate", "l2_hit_rate", "hit_rate"}
+    assert set(stats) == {"l1", "l2"}
+    assert stats["l1"]["hits"] == 1
+    assert stats["l2"]["hits"] == 1
+    # The roll-ups are derived leaves of the metrics schema.
+    rates = derive({"cache": stats})["cache"]
+    assert rates["l1_hit_rate"] == pytest.approx(0.5)
+    assert rates["hit_rate"] == pytest.approx(1.0)
 
 
 def test_tiered_put_writes_through_both_tiers(tmp_path, rng):
@@ -406,12 +408,11 @@ def test_eviction_counters_track_entries_and_bytes(tmp_path, rng):
         cache.put(key, _value(rng))
         time.sleep(0.01)  # distinct mtimes for deterministic LRU order
     stats = cache.stats
-    assert stats.evictions == 2
-    assert stats.evicted_bytes > 0
-    assert stats.currsize <= 2
+    assert stats["evictions"] == 2
+    assert stats["evicted_bytes"] > 0
+    assert stats["currsize"] <= 2
     # evicted bytes + surviving bytes account for everything ever stored
-    assert stats.evicted_bytes + stats.current_bytes > 0
-    assert stats.as_dict()["evicted_bytes"] == stats.evicted_bytes
+    assert stats["evicted_bytes"] + stats["current_bytes"] > 0
 
 
 def test_corrupt_dropped_counter_is_separate_from_io_errors(tmp_path, rng):
@@ -422,8 +423,8 @@ def test_corrupt_dropped_counter_is_separate_from_io_errors(tmp_path, rng):
         fh.write(b"garbage, not an npz")
     assert cache.get(key) is None
     stats = cache.stats
-    assert stats.corrupt_dropped == 1
-    assert stats.errors == 1  # corruption also counts as an error
+    assert stats["corrupt_dropped"] == 1
+    assert stats["errors"] == 1  # corruption also counts as an error
     assert not os.path.exists(cache.path_for(key))  # purged
 
 
@@ -447,8 +448,8 @@ def test_sweep_counters_survive_a_failing_lock_release(tmp_path, rng, monkeypatc
         cache.put(_key(rng, config="b"), _value(rng))
     monkeypatch.setattr(diskcache_module._DirectoryLock, "__exit__", original_exit)
     stats = cache.stats
-    assert stats.evictions == 1  # the eviction that happened is recorded
-    assert stats.evicted_bytes > 0
+    assert stats["evictions"] == 1  # the eviction that happened is recorded
+    assert stats["evicted_bytes"] > 0
 
 
 def test_tiered_cache_surfaces_disk_telemetry(tmp_path, rng):
@@ -458,7 +459,7 @@ def test_tiered_cache_surfaces_disk_telemetry(tmp_path, rng):
     for i in range(3):
         tiered.put(_key(rng, config=f"c{i}"), _value(rng))
         time.sleep(0.01)
-    doc = tiered.stats.as_dict()
+    doc = tiered.stats
     assert doc["l2"]["evictions"] >= 1
     assert doc["l2"]["evicted_bytes"] > 0
     assert "corrupt_dropped" in doc["l2"]

@@ -500,7 +500,7 @@ def test_a_tiered_l1_miss_hops_once_and_probes_each_tier_once(rng):
     assert result.segmentation.extras["cache_hit"] is True
     assert np.array_equal(result.labels, segmentation.labels)
     for tier in (l1, shm, l2):
-        assert tier.stats.hits + tier.stats.misses == 1
+        assert tier.stats["hits"] + tier.stats["misses"] == 1
     spans = {name: (start, end) for name, _, start, end, _ in trace.spans}
     (probe,) = [span for span in trace.spans if span[0] == "cache.probe"]
     for name in ("cache.l1", "cache.shm", "cache.l2"):
@@ -563,7 +563,7 @@ def test_each_tier_counts_one_lookup_per_request_that_reached_it(rng):
     tiered = TieredResultCache(l1=l1, l2=l2, shm=shm)
 
     def lookups():
-        return [tier.stats.hits + tier.stats.misses for tier in (l1, shm, l2)]
+        return [tier.stats["hits"] + tier.stats["misses"] for tier in (l1, shm, l2)]
 
     async def scenario():
         async with AsyncSegmentationService(_engine(), cache=tiered) as service:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.base import SegmentationResult
 from repro.errors import CacheError, ParameterError
+from repro.obs.schema import derive
 from repro.serve import ResultCache, TieredResultCache, WorkerSpec, image_digest
 from repro.serve._shmcache import (
     _HEADER,
@@ -89,11 +90,11 @@ def test_miss_and_hit_counters(shm_cache, rng):
     shm_cache.put(key, _value(rng))
     assert shm_cache.get(key) is not None
     stats = shm_cache.stats
-    assert stats.hits == 1
-    assert stats.misses == 1
-    assert stats.stores == 1
-    assert stats.currsize == 1
-    assert stats.hit_rate == 0.5
+    assert stats["hits"] == 1
+    assert stats["misses"] == 1
+    assert stats["stores"] == 1
+    assert stats["currsize"] == 1
+    assert "hit_rate" not in stats
     assert key in shm_cache
     assert len(shm_cache) == 1
 
@@ -101,7 +102,7 @@ def test_miss_and_hit_counters(shm_cache, rng):
 def test_stats_as_dict_is_json_friendly(shm_cache):
     import json
 
-    doc = shm_cache.stats.as_dict()
+    doc = shm_cache.stats
     json.dumps(doc)
     for field in (
         "hits",
@@ -114,10 +115,10 @@ def test_stats_as_dict_is_json_friendly(shm_cache):
         "currsize",
         "slot_count",
         "slot_bytes",
-        "size_bytes",
-        "hit_rate",
+        "max_bytes",
     ):
         assert field in doc
+    assert doc["max_bytes"] == _SUPER_SIZE + doc["slot_count"] * doc["slot_bytes"]
 
 
 # --------------------------------------------------------------------------- #
@@ -129,8 +130,8 @@ def test_oversize_value_is_skipped_not_stored(rng):
         key = _key(rng)
         cache.put(key, _value(rng, shape=(128, 128)))  # 128*128*8*2 bytes >> slot
         assert cache.get(key) is None
-        assert cache.stats.store_skips == 1
-        assert cache.stats.stores == 0
+        assert cache.stats["store_skips"] == 1
+        assert cache.stats["stores"] == 0
     finally:
         cache.close()
 
@@ -147,7 +148,7 @@ def test_single_slot_collision_overwrites_and_counts_eviction(rng):
         loaded = cache.get(key_b)
         assert loaded is not None
         assert np.array_equal(loaded[0].labels, value_b[0].labels)
-        assert cache.stats.evictions == 1
+        assert cache.stats["evictions"] == 1
         assert len(cache) == 1
     finally:
         cache.close()
@@ -157,8 +158,8 @@ def test_same_key_overwrite_is_not_an_eviction(shm_cache, rng):
     key = _key(rng)
     shm_cache.put(key, _value(rng))
     shm_cache.put(key, _value(rng))
-    assert shm_cache.stats.evictions == 0
-    assert shm_cache.stats.stores == 2
+    assert shm_cache.stats["evictions"] == 0
+    assert shm_cache.stats["stores"] == 2
 
 
 def test_clear_empties_every_slot(shm_cache, rng):
@@ -182,8 +183,8 @@ def test_odd_generation_reads_as_torn_miss(shm_cache, rng):
     _HEADER.pack_into(shm_cache._shm.buf, base, gen + 1, digest, length, crc)
 
     assert shm_cache.get(key) is None
-    assert shm_cache.stats.torn_reads == 1
-    assert shm_cache.stats.misses == 1
+    assert shm_cache.stats["torn_reads"] == 1
+    assert shm_cache.stats["misses"] == 1
 
 
 def test_corrupt_payload_fails_crc_and_reads_as_torn_miss(shm_cache, rng):
@@ -196,7 +197,7 @@ def test_corrupt_payload_fails_crc_and_reads_as_torn_miss(shm_cache, rng):
     shm_cache._shm.buf[offset] ^= 0xFF
 
     assert shm_cache.get(key) is None
-    assert shm_cache.stats.torn_reads == 1
+    assert shm_cache.stats["torn_reads"] == 1
 
 
 def test_bogus_payload_length_reads_as_torn_miss(shm_cache, rng):
@@ -208,7 +209,7 @@ def test_bogus_payload_length_reads_as_torn_miss(shm_cache, rng):
     _HEADER.pack_into(shm_cache._shm.buf, base, gen, digest, huge, crc)
 
     assert shm_cache.get(key) is None
-    assert shm_cache.stats.torn_reads == 1
+    assert shm_cache.stats["torn_reads"] == 1
 
 
 def test_undecodable_payload_counts_an_error(shm_cache, rng):
@@ -225,7 +226,7 @@ def test_undecodable_payload_counts_an_error(shm_cache, rng):
     _HEADER.pack_into(shm_cache._shm.buf, base, gen, digest, len(garbage), zlib.crc32(garbage))
 
     assert shm_cache.get(key) is None
-    assert shm_cache.stats.errors == 1
+    assert shm_cache.stats["errors"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -290,7 +291,7 @@ def test_closed_cache_misses_and_refuses_stores(shm_cache, rng):
     assert key not in shm_cache
     assert len(shm_cache) == 0
     shm_cache.put(key, _value(rng))  # must not raise
-    assert shm_cache.stats.errors == 1
+    assert shm_cache.stats["errors"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -359,9 +360,9 @@ def test_tiered_promotes_shm_hits_into_l1(shm_cache, rng):
 
         assert tiered.get(key) is not None
         assert key in l1
-        assert tiered.stats.shm.hits == 1
-        assert tiered.stats.shm_hit_rate == 1.0
-        assert "shm" in tiered.stats.as_dict()
+        stats = tiered.stats
+        assert stats["shm"]["hits"] == 1
+        assert derive({"cache": stats})["cache"]["shm_hit_rate"] == 1.0
 
 
 def test_tiered_promotes_disk_hits_into_shm(shm_cache, rng, tmp_path):
