@@ -62,7 +62,7 @@ async def main() -> None:
             )
             for result in results:
                 seg = result.segmentation
-                kind = "rgb" if seg.extras.get("palette_size") else "gray"
+                kind = "rgb" if seg.method == "iqft-rgb" else "gray"
                 print(
                     f"{counter:<10} {kind:<6} {seg.extras['fast_path']:<14} "
                     f"{seg.num_segments:>9} {str(seg.extras['cache_hit']):>7}"

@@ -37,8 +37,8 @@ from .lut import (
     lut_eligible,
     lut_cache_info,
     clear_lut_cache,
-    pack_rgb_codes,
-    unpack_rgb_codes,
+    rgb_label_tables,
+    RgbLabelTables,
 )
 from .rgb_segmenter import IQFTSegmenter
 from .grayscale_segmenter import IQFTGrayscaleSegmenter
@@ -88,8 +88,8 @@ __all__ = [
     "lut_eligible",
     "lut_cache_info",
     "clear_lut_cache",
-    "pack_rgb_codes",
-    "unpack_rgb_codes",
+    "rgb_label_tables",
+    "RgbLabelTables",
     "thresholds_for_theta",
     "theta_for_threshold",
     "grayscale_class_probabilities",

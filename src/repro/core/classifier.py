@@ -10,8 +10,9 @@ phase encoding on top.
 The implementation is fully vectorized: a batch of ``N`` samples requires a
 single ``(N, 2^n) @ (2^n, 2^n)`` complex matrix product, processed in chunks
 to bound peak memory (see ``chunk_pixels`` in :mod:`repro.config`).  This is
-the one float kernel of the library: every path — value LUT, palette,
-tiled, direct, delta — labels through it, so they all agree bit for bit.
+the one float kernel of the library: every path — value LUT, RGB tables
+(which certify their product-form labels against it), tiled, direct, delta —
+labels through it, so they all agree bit for bit.
 """
 
 from __future__ import annotations
@@ -146,9 +147,8 @@ class IQFTClassifier:
         Quantized inputs produce massively redundant phase batches; this
         classifies each *distinct* row once and scatters the labels back,
         which is exactly equivalent to :meth:`classify` because the rule is a
-        pure per-row function.  The image segmenters use specialised versions
-        of the same idea (the 256-entry value table and the packed-colour
-        palette in their ``labels_from_lut`` hooks); use this one for raw
+        pure per-row function.  The image segmenters precompute per-value
+        tables instead (see :mod:`repro.core.lut`); use this one for raw
         phase batches that don't come from 8-bit images.  Worst case (all
         rows distinct) it degrades to one extra sort.
         """

@@ -117,12 +117,18 @@ def binarize_by_overlap(
 def binarize_largest_background(predicted: np.ndarray) -> np.ndarray:
     """Unsupervised binarization: the largest segment becomes background (0).
 
-    Every other segment is marked foreground (1).  Useful when no ground truth
-    exists; not used for the paper-comparison tables.
+    Every other segment is marked foreground (1); of equally large segments
+    the smallest label is background.  Useful when no ground truth exists;
+    not used for the paper-comparison tables.
     """
     pred = _check_label_map(predicted)
-    sizes = segment_sizes(pred)
-    if not sizes:
+    if pred.size == 0:
         raise MetricError("empty label map")
-    background_label = max(sizes, key=lambda k: sizes[k])
+    flat = pred.ravel()
+    if int(flat.min()) >= 0 and int(flat.max()) < 65536:
+        # One O(N) histogram; argmax takes the first (smallest) of tied labels.
+        background_label = int(np.argmax(np.bincount(flat)))
+    else:
+        sizes = segment_sizes(pred)
+        background_label = max(sizes, key=lambda k: sizes[k])
     return (pred != background_label).astype(np.int64)

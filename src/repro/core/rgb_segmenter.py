@@ -23,7 +23,7 @@ import numpy as np
 from ..base import BaseSegmenter
 from ..errors import ParameterError, ShapeError
 from .classifier import IQFTClassifier
-from .lut import lut_eligible, pack_rgb_codes, unpack_rgb_codes
+from .lut import lut_eligible, rgb_label_tables
 from .phase_encoding import DEFAULT_THETA, normalize_pixels, pixel_phases
 
 __all__ = ["IQFTSegmenter"]
@@ -147,21 +147,21 @@ class IQFTSegmenter(BaseSegmenter):
         image: np.ndarray,
         extras: Optional[Dict[str, Any]] = None,
     ) -> Optional[np.ndarray]:
-        """Palette-LUT fast path: exact labels via per-colour lookup, or ``None``.
+        """RGB-LUT fast path: exact labels via per-key integer tables, or ``None``.
 
-        The 3-qubit rule is a pure function of the ``(R, G, B)`` triple, so an
-        8-bit image only needs one classifier evaluation per *distinct colour*
-        (its palette) instead of one per pixel.  Colours are deduplicated on
-        packed 24-bit codes, classified through the exact
-        phase-encoding + matmul path, and scattered back — bit-identical to
-        :meth:`segment` by construction: dedup and the final per-pixel gather
-        are integer operations, and only the per-*colour* classification
-        touches floats.  Every call classifies its own palette;
-        nothing is cached across images.  Non-integer or out-of-range input
-        returns ``None`` (callers fall back to the matrix path), as does
-        ``store_probabilities`` mode: the fast path computes no per-pixel
-        probability maps, so it must not swallow that contract.  Diagnostics
-        go into the caller-owned ``extras`` dict when one is passed.
+        The 3-qubit rule is a pure function of the ``(R, G, B)`` triple, and
+        its probabilities factorise per qubit, so an 8-bit image is labelled
+        by a few integer gathers into the cached
+        :class:`~repro.core.lut.RgbLabelTables` of this segmenter's key
+        (θ triple, ``normalize``, ``max_value`` and uint8-vs-wider storage),
+        built on first use in 15-45 ms.  Labels are bit-identical to
+        :meth:`segment`: every colour whose product-form margin is not
+        certified takes the exact classifier's own label.  Non-integer or
+        out-of-range input returns ``None`` (callers fall back to the matrix
+        path), as does ``store_probabilities`` mode: the fast path computes
+        no per-pixel probability maps, so it must not swallow that contract.
+        Diagnostics go into the caller-owned ``extras`` dict when one is
+        passed.
         """
         if self.store_probabilities:
             return None
@@ -170,23 +170,14 @@ class IQFTSegmenter(BaseSegmenter):
             return None
         if not lut_eligible(arr, normalize=self.normalize):
             return None
-        codes = pack_rgb_codes(arr)
-        palette, inverse = np.unique(codes, return_inverse=True)
-        # Preserve the raw dtype so the palette rows take the exact same
-        # normalization branch as the full image would.
-        colors = unpack_rgb_codes(palette).astype(arr.dtype).reshape(-1, 1, 3)
-        phases = self._phases(colors).reshape(-1, self._classifier.num_qubits)
-        palette_labels = self._classifier.classify(phases)
-        info = {
-            "thetas": self._thetas,
-            "normalize": self.normalize,
-            "fast_path": "palette-lut",
-            "palette_size": int(palette.size),
-        }
+        tables = rgb_label_tables(
+            self._thetas, self.normalize, self.max_value, uint8_values=arr.dtype == np.uint8
+        )
+        info = {"thetas": self._thetas, "normalize": self.normalize, "fast_path": "rgb-lut"}
         self._last_extras = info
         if extras is not None:
             extras.update(info)
-        return palette_labels[inverse].reshape(arr.shape[:2])
+        return tables.labels(arr)
 
     def _extras(self) -> Dict[str, Any]:
         return dict(self._last_extras)

@@ -4,7 +4,7 @@ The engine subsystem turns the per-image segmenters of :mod:`repro.core` into
 a throughput-oriented service layer:
 
 * :class:`BatchSegmentationEngine` — picks the cheapest *exact* strategy per
-  image (value/palette LUT for quantized input, tiled matrix path for large
+  image (value/RGB LUT for quantized input, tiled matrix path for large
   float input, direct path otherwise) and maps whole batches over an executor.
 * The lookup-table calculus itself lives in :mod:`repro.core.lut` and is
   re-exported here for convenience.
@@ -28,8 +28,8 @@ from ..core.lut import (
     grayscale_probability_lut,
     lut_cache_info,
     lut_eligible,
-    pack_rgb_codes,
-    unpack_rgb_codes,
+    rgb_label_tables,
+    RgbLabelTables,
 )
 from ..core.pipeline import PipelineResult, SegmentationPipeline
 from .delta import (
@@ -67,6 +67,6 @@ __all__ = [
     "lut_eligible",
     "lut_cache_info",
     "clear_lut_cache",
-    "pack_rgb_codes",
-    "unpack_rgb_codes",
+    "rgb_label_tables",
+    "RgbLabelTables",
 ]

@@ -11,7 +11,7 @@ fixed tile grid, every tile is content-digested
 (:func:`repro.parallel.tiling.tile_digest`), the digests are compared
 against the cached ancestor frame of the same stream, and only *dirty*
 tiles are re-segmented through the wrapped engine's normal strategies
-(LUT / palette-LUT / tiled / direct, via
+(LUT / RGB-LUT / tiled / direct, via
 ``BatchSegmentationEngine._label_prepared``).  Fresh tiles are stitched
 into a copy of the ancestor's label map — bit-identical to a full
 recompute, a property the Hypothesis suite asserts over grayscale and RGB

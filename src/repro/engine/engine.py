@@ -5,17 +5,18 @@ library.  For each image it picks the cheapest *exact* evaluation strategy:
 
 1. **LUT fast path** — integer-valued input is labelled through the
    segmenter's ``labels_from_lut`` hook (a 256-entry value table for the
-   grayscale method, a palette lookup for RGB; see :mod:`repro.core.lut`).
-   The tables are built by the exact classifier, so labels are bit-identical
-   to the matrix path.
+   grayscale method, per-key RGB tables from the factorised eq. (11); see
+   :mod:`repro.core.lut`).  A table label is either certified equal to the
+   exact classifier's or is the classifier's own, so labels are
+   bit-identical to the matrix path.
 2. **Tiled matrix path** — large float images are split into tiles
    (:func:`repro.parallel.tiling.tile_map`) and segmented cooperatively by the
    engine's executor; the per-pixel rule makes stitching loss-free.
 3. **Direct matrix path** — everything else runs the segmenter unchanged.
 
 For the IQFT methods every strategy labels through the one exact classifier
-of eq. (11) (:class:`~repro.core.classifier.IQFTClassifier`); the LUT paths
-add only NumPy integer lookups on top of it.
+of eq. (11) (:class:`~repro.core.classifier.IQFTClassifier`) or a label
+certified equal to its; the LUT paths add only NumPy integer lookups.
 
 On top of the per-image strategy the engine exposes ``map(images, gts)``,
 which scatters a whole batch over the executor and returns one
@@ -259,7 +260,7 @@ class BatchSegmentationEngine:
         """Segment one image through the cheapest exact strategy.
 
         The returned :class:`~repro.base.SegmentationResult` carries
-        ``extras["fast_path"]`` (``"lut"``, ``"palette-lut"``, ``"tiled"`` or
+        ``extras["fast_path"]`` (``"lut"``, ``"rgb-lut"``, ``"tiled"`` or
         ``"direct"``) so callers and reports can audit which path ran.
         """
         prepare_start = time.perf_counter()

@@ -219,9 +219,14 @@ def _score_request(
     cache_hit: bool,
     coalesced: bool,
 ) -> PipelineResult:
-    """The per-request evaluation protocol (admission hits and batches alike)."""
+    """The per-request evaluation protocol (admission hits and batches alike).
+
+    A cache hit labels nothing, so it reports a label time of 0.0 rather
+    than the stored time of the request that computed it.
+    """
     tagged = dataclasses.replace(
         segmentation,
+        runtime_seconds=0.0 if cache_hit else segmentation.runtime_seconds,
         extras={**segmentation.extras, "cache_hit": cache_hit, "coalesced": coalesced},
     )
     if ground_truth is None and binary is not None:

@@ -51,7 +51,7 @@ def test_batch_writes_schema_conformant_report(tmp_path, rng):
     assert len(report["images"]) == 3
     for entry in report["images"]:
         assert set(entry) == _REQUIRED_IMAGE_KEYS
-        assert entry["fast_path"] == "palette-lut"
+        assert entry["fast_path"] == "rgb-lut"
         assert entry["shape"] == [20, 24]
         assert entry["num_segments"] >= 1
         assert entry["metrics"] == {}

@@ -61,7 +61,7 @@ def test_serve_spool_writes_schema_conformant_report(tmp_path, rng):
     for job in report["jobs"]:
         assert set(job) == _REQUIRED_JOB_KEYS
         assert job["shape"] == [20, 24]
-        assert job["fast_path"] == "palette-lut"
+        assert job["fast_path"] == "rgb-lut"
     # jobs processed in sorted order for determinism
     assert [job["id"] for job in report["jobs"]] == sorted(
         job["id"] for job in report["jobs"]

@@ -89,6 +89,36 @@ def test_binarize_largest_background():
     assert np.array_equal(binary, np.array([[0, 0, 0, 1], [0, 0, 1, 1]]))
 
 
+def _largest_background_by_sorted_sizes(predicted):
+    # The np.unique formulation the histogram replaced: the largest segment
+    # is background, and max() over the sorted sizes keeps the smallest of
+    # tied labels.
+    sizes = segment_sizes(predicted)
+    background = max(sizes, key=lambda k: sizes[k])
+    return (np.asarray(predicted) != background).astype(np.int64)
+
+
+@pytest.mark.parametrize("offset", [0, -3, 70_000])
+def test_binarize_largest_background_matches_sorted_sizes(rng, offset):
+    # offset 0 takes the histogram; negative labels and labels past 65,535
+    # take np.unique.  Half the maps force a tie between the two largest.
+    for trial in range(40):
+        labels = rng.integers(0, 6, size=(9, 11))
+        if trial % 2:
+            labels = rng.permutation(np.repeat([4, 1, 2, 5], [20, 20, 10, 10])).reshape(6, 10)
+        labels = labels + offset
+        binary = binarize_largest_background(labels)
+        assert binary.dtype == np.int64
+        assert np.array_equal(binary, _largest_background_by_sorted_sizes(labels))
+    tie = np.array([[7, 3], [3, 7]]) + offset
+    assert np.array_equal(binarize_largest_background(tie), (tie != 3 + offset).astype(np.int64))
+
+
+def test_binarize_largest_background_rejects_an_empty_map():
+    with pytest.raises(MetricError):
+        binarize_largest_background(np.zeros((0, 4), dtype=np.int64))
+
+
 def test_binarize_by_overlap_perfect_prediction_is_identity(rng):
     gt = (rng.random((10, 10)) > 0.6).astype(np.int64)
     assert np.array_equal(binarize_by_overlap(gt, gt), gt)

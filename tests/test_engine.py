@@ -5,14 +5,15 @@ import pytest
 
 from repro import IQFTGrayscaleSegmenter, IQFTSegmenter, SegmentationPipeline
 from repro.core.classifier import IQFTClassifier
+from repro.core import lut
 from repro.core.lut import (
+    MAX_EXCEPTION_ROWS,
     clear_lut_cache,
     grayscale_label_lut,
     grayscale_probability_lut,
     lut_cache_info,
     lut_eligible,
-    pack_rgb_codes,
-    unpack_rgb_codes,
+    rgb_label_tables,
 )
 from repro.engine import BatchSegmentationEngine
 from repro.errors import ParameterError
@@ -74,8 +75,7 @@ def test_engine_lut_path_matches_exact_segmenter(uint8_rgb):
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=np.pi))
     result = engine.segment(uint8_rgb)
     exact = IQFTSegmenter(thetas=np.pi).segment(uint8_rgb)
-    assert result.extras["fast_path"] == "palette-lut"
-    assert result.extras["palette_size"] <= uint8_rgb.shape[0] * uint8_rgb.shape[1]
+    assert result.extras["fast_path"] == "rgb-lut"
     assert np.array_equal(result.labels, exact.labels)
     assert result.num_segments == exact.num_segments
     assert result.method == "iqft-rgb"
@@ -115,16 +115,15 @@ def test_store_probabilities_falls_back_to_matrix_path(uint8_rgb):
 
 def test_map_extras_are_per_image_under_threads(rng):
     # Two images with different palettes, one shared segmenter, two threads:
-    # each result must carry its own palette_size (no shared-state races).
+    # each result must carry its own extras (no shared-state races).
     small_palette = np.zeros((30, 30, 3), dtype=np.uint8)
     big_palette = (rng.random((30, 30, 3)) * 255).astype(np.uint8)
     engine = BatchSegmentationEngine(IQFTSegmenter(), executor=ThreadExecutor(max_workers=2))
     results = engine.map([small_palette, big_palette] * 4)
     for index, result in enumerate(results):
-        expected = 1 if index % 2 == 0 else len(
-            np.unique(big_palette.reshape(-1, 3), axis=0)
-        )
-        assert result.segmentation.extras["palette_size"] == expected
+        image = small_palette if index % 2 == 0 else big_palette
+        assert result.segmentation.extras["fast_path"] == "rgb-lut"
+        assert np.array_equal(result.labels, IQFTSegmenter().segment(image).labels)
 
 
 def test_engine_works_for_segmenters_without_hook(small_rgb_uint8):
@@ -189,7 +188,7 @@ def test_run_many_delegates_to_engine(uint8_rgb, rng):
     pipeline = SegmentationPipeline(IQFTSegmenter())
     results = pipeline.run_many([uint8_rgb, uint8_rgb], [mask, None])
     assert len(results) == 2
-    assert results[0].segmentation.extras["fast_path"] == "palette-lut"
+    assert results[0].segmentation.extras["fast_path"] == "rgb-lut"
     assert results[0].metrics == pipeline.run(uint8_rgb, mask).metrics
     assert results[1].metrics == {}
     # the matrix path stays reachable
@@ -268,24 +267,65 @@ def test_multiband_lut_with_no_thresholds_is_all_zero(rng):
     assert np.array_equal(fast, seg.segment(image).labels)
 
 
-def test_pack_unpack_rgb_roundtrip(rng):
-    image = (rng.random((6, 7, 3)) * 255).astype(np.uint8)
-    codes = pack_rgb_codes(image)
-    assert np.array_equal(unpack_rgb_codes(codes), image.reshape(-1, 3).astype(np.int64))
-    with pytest.raises(ParameterError):
-        pack_rgb_codes(np.zeros((4, 4)))
-
-
 def test_palette_of_65537_colours_labels_like_segment():
     # One pixel per colour, spread over the whole colour cube: every label
-    # of a palette past 65,536 colours is compared with the matrix path.
+    # of 65,537 distinct colours is compared with the matrix path.
     codes = np.arange(65537, dtype=np.int64) * 255
-    image = unpack_rgb_codes(codes).astype(np.uint8).reshape(-1, 1, 3)
+    image = np.stack((codes >> 16, (codes >> 8) & 0xFF, codes & 0xFF), axis=1)
+    image = image.astype(np.uint8).reshape(-1, 1, 3)
     segmenter = IQFTSegmenter(thetas=(np.pi, 2 * np.pi, np.pi / 2))
     extras = {}
     fast = segmenter.labels_from_lut(image, extras=extras)
-    assert extras["palette_size"] == 65537
+    assert extras["fast_path"] == "rgb-lut"
     assert np.array_equal(fast, segmenter.segment(image).labels)
+
+
+def test_concurrent_first_use_builds_one_table_set(rng):
+    # Two threads racing to the first image of a key: one build, equal labels.
+    clear_lut_cache()
+    image = (rng.random((48, 40, 3)) * 255).astype(np.uint8)
+    segmenter = IQFTSegmenter(thetas=(2.7, 1.3, np.pi))
+    engine = BatchSegmentationEngine(segmenter, executor=ThreadExecutor(max_workers=2))
+    results = engine.map([image] * 6)
+    exact = IQFTSegmenter(thetas=(2.7, 1.3, np.pi)).segment(image).labels
+    for result in results:
+        assert result.segmentation.extras["fast_path"] == "rgb-lut"
+        assert np.array_equal(result.labels, exact)
+    info = lut._rgb_tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_rgb_tables_are_cached_read_only_and_cleared():
+    clear_lut_cache()
+    tables = rgb_label_tables((np.pi, np.pi, np.pi))
+    assert rgb_label_tables((np.pi, np.pi, np.pi)) is tables
+    assert rgb_label_tables((np.pi, np.pi, np.pi), max_value=100.0) is not tables
+    assert tables.resolved and 0 < tables.exception_rows.size <= MAX_EXCEPTION_ROWS
+    assert tables.rows.dtype == np.uint8 and tables.nbytes < 512 * 1024
+    for table in (tables.row_class, tables.rank, tables.rows, tables.exception_rows):
+        assert not table.flags.writeable
+    clear_lut_cache()
+    assert lut._rgb_tables.cache_info().currsize == 0
+    with pytest.raises(ParameterError):
+        rgb_label_tables((np.pi, -1.0, np.pi))
+    with pytest.raises(ParameterError):
+        rgb_label_tables((np.pi, np.pi, np.pi), max_value=0.0)
+
+
+def test_a_degenerate_key_labels_its_exception_rows_per_call(rng):
+    # Unnormalized θ = π puts every phase on a multiple of π: whole classes
+    # of colours tie exactly, more rows than the tables store, so those
+    # rows' pixels go through the classifier on each call.
+    segmenter = IQFTSegmenter(thetas=np.pi, normalize=False)
+    tables = rgb_label_tables(segmenter.thetas, normalize=False)
+    assert not tables.resolved
+    assert tables.exception_rows.size > MAX_EXCEPTION_ROWS
+    image = (rng.random((40, 30, 3)) * 255).astype(np.uint8)
+    extras = {}
+    assert np.array_equal(
+        segmenter.labels_from_lut(image, extras=extras), segmenter.segment(image).labels
+    )
+    assert extras["fast_path"] == "rgb-lut"
 
 
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,9 @@ the raw pixel value, so labelling through a per-value table must agree with
 the per-pixel matrix product *exactly* — not approximately — for every image
 and every θ.  Hypothesis searches for counterexamples over random uint8
 images across the paper's angle regimes θ ∈ {π/2, π, 2π, 4π}; the RGB
-palette path is also searched over per-channel θ triples, the
-``normalize=False`` ablation and int32 storage.
+table path is also searched over per-channel θ triples (zero angles
+included), the ``normalize=False`` ablation and int32 storage, and checked
+on every one of the 2²⁴ colours at the default key.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import BatchSegmentationEngine, IQFTGrayscaleSegmenter, IQFTSegmenter
+from repro.core.lut import RGB_MARGIN, rgb_label_tables
 
 # Hypothesis-heavy: CI runs this suite on one matrix leg (see pyproject's
 # `property` marker note).
@@ -58,7 +60,7 @@ def test_rgb_palette_lut_is_bit_identical(image, theta):
 
 
 _theta_triples = st.tuples(
-    *[st.sampled_from(_THETAS) | st.floats(0.05, 4 * np.pi, allow_nan=False)] * 3
+    *[st.sampled_from(_THETAS + (0.0,)) | st.floats(0.05, 4 * np.pi, allow_nan=False)] * 3
 )
 
 
@@ -81,6 +83,43 @@ def test_rgb_palette_lut_is_bit_identical_per_channel_theta_normalize_and_dtype(
         return
     assert fast is not None
     assert np.array_equal(fast, segmenter.segment(image).labels)
+
+
+def test_rgb_lut_equals_segment_on_every_colour():
+    # All 2**24 colours at the default key (θ = π, normalize, uint8), one
+    # r-slab of 65,536 colours at a time, against the exact path computed
+    # on this machine.  No digest is pinned: 22,974 colours tie to within
+    # 1e-15 and take the classifier's own rounding, which another libm
+    # could break differently — this comparison holds wherever it runs.
+    segmenter = IQFTSegmenter()
+    green, blue = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    slab = np.stack((np.zeros_like(green), green, blue), axis=-1).astype(np.uint8)
+    for red in range(256):
+        slab[..., 0] = red
+        fast = segmenter.labels_from_lut(slab)
+        assert np.array_equal(fast, segmenter.segment(slab).labels), f"r = {red}"
+
+
+@pytest.mark.parametrize("thetas", [(np.pi, np.pi, 0.0), (1.3, 2.0, 0.0)])
+def test_a_zero_blue_angle_makes_exception_rows_only_of_uncertified_colours(thetas):
+    # θ3 = 0 zeroes every odd state's probability, so odd never wins and
+    # all 256 colours of a row share one probability vector: a row must be
+    # an exception row exactly when that vector's top-2 margin is within
+    # RGB_MARGIN, whatever ties the never-winning odd states hold.
+    red, green = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    rows = np.stack((red, green, np.zeros_like(red)), axis=-1).astype(np.uint8)
+    segmenter = IQFTSegmenter(thetas=thetas)
+    probs = np.sort(segmenter.pixel_probabilities(rows).reshape(65536, 8), axis=1)
+    assert np.all(probs[:, :4] < 1e-15)  # the four odd states
+    uncertified = np.flatnonzero(probs[:, -1] - probs[:, -2] <= RGB_MARGIN)
+    tables = rgb_label_tables(segmenter.thetas)
+    assert tables.resolved
+    assert np.array_equal(tables.exception_rows, uncertified)
+    image = rows.copy()
+    image[..., 2] = np.arange(65536).reshape(256, 256) % 256
+    labels = segmenter.labels_from_lut(image)
+    assert np.all(labels % 2 == 0)
+    assert np.array_equal(labels, segmenter.segment(image).labels)
 
 
 @given(
@@ -117,7 +156,7 @@ def test_engine_rgb_matches_matrix_path(image, theta):
     engine = BatchSegmentationEngine(IQFTSegmenter(thetas=theta))
     result = engine.segment(image)
     exact = IQFTSegmenter(thetas=theta).segment(image)
-    assert result.extras["fast_path"] == "palette-lut"
+    assert result.extras["fast_path"] == "rgb-lut"
     assert np.array_equal(result.labels, exact.labels)
     assert result.num_segments == exact.num_segments
 

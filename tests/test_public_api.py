@@ -71,7 +71,7 @@ def test_import_repro_is_lazy():
 
 
 def test_version_is_exported():
-    assert repro.__version__ == "9.0.0"
+    assert repro.__version__ == "10.0.0"
     assert "__version__" in repro.__all__
 
 
@@ -95,7 +95,8 @@ def test_serve_surface_covers_the_shim_modules_public_names():
 
 def test_the_cache_ttl_and_the_cross_image_palette_cache_are_gone(tmp_path):
     # 7.0.0 deleted both: no cache tier takes a time-to-live, the CLI has
-    # no --ttl, and an RGB image classifies its own palette every time.
+    # no --ttl, and nothing caches an image's palette (10.0.0 labels RGB
+    # through per-key tables instead of a palette).
     import numpy as np
 
     import repro.core.lut
@@ -128,7 +129,7 @@ def test_the_cache_ttl_and_the_cross_image_palette_cache_are_gone(tmp_path):
     image = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
     extras = {}
     assert IQFTSegmenter(thetas=np.pi).labels_from_lut(image, extras=extras) is not None
-    assert extras["fast_path"] == "palette-lut"
+    assert extras["fast_path"] == "rgb-lut"
     assert "palette_cached" not in extras
 
 
@@ -195,3 +196,23 @@ def test_the_stats_classes_and_the_spool_default_deadline_are_gone(tmp_path):
 
     with pytest.raises(TypeError):
         repro.serve.run_jobs_async(None, [], default_deadline_ms=1000.0)
+
+
+def test_the_palette_path_is_gone():
+    # 10.0.0: 8-bit RGB is labelled through per-key tables (strategy
+    # "rgb-lut"), so the palette codes and the palette_size extra are gone.
+    import numpy as np
+
+    import repro.core
+    import repro.core.lut
+    import repro.engine
+    from repro import BatchSegmentationEngine, IQFTSegmenter
+
+    for module in (repro.core, repro.core.lut, repro.engine):
+        for name in ("pack_rgb_codes", "unpack_rgb_codes"):
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in module.__all__, (module.__name__, name)
+    image = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    result = BatchSegmentationEngine(IQFTSegmenter()).segment(image)
+    assert result.extras["fast_path"] == "rgb-lut"
+    assert "palette_size" not in result.extras

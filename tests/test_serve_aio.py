@@ -156,6 +156,24 @@ def test_the_cached_mask_is_uint8_and_hits_widen_it_back(rng):
     assert np.array_equal(cold.binary, binarize_largest_background(cold.labels))
 
 
+def test_a_cache_hit_reports_its_own_label_time(rng):
+    # The hit labels nothing: 0.0, not the stored time of the cold request.
+    image = _image(rng)
+
+    async def scenario():
+        async with AsyncSegmentationService(_engine()) as service:
+            cold = await service.submit(image)
+            warm = await service.submit(image)
+            return cold, warm
+
+    cold, warm = asyncio.run(scenario())
+    assert cold.segmentation.extras["cache_hit"] is False
+    assert cold.segmentation.runtime_seconds > 0.0
+    assert warm.segmentation.extras["cache_hit"] is True
+    assert warm.segmentation.runtime_seconds == 0.0
+    assert np.array_equal(warm.labels, cold.labels)
+
+
 def test_an_int64_mask_disk_entry_still_answers(rng, tmp_path):
     """Disk entries written before the uint8 mask hold an int64 one."""
     image = _image(rng)
