@@ -1,12 +1,13 @@
 """Engine benchmark — the LUT fast path vs the chunked matrix path.
 
-The batch engine labels integer images through value/palette lookup tables
-built by the exact classifier (see ``repro/core/lut.py``), so it must produce
-*identical* labels to the matrix path while skipping almost all of the
-per-pixel complex arithmetic.  This benchmark measures both paths on the same
-images and asserts the expected shape of the result:
+The batch engine labels integer images through value tables and per-key RGB
+tables certified against the exact classifier (see ``repro/core/lut.py``),
+so it must produce *identical* labels to the matrix path while skipping
+almost all of the per-pixel complex arithmetic.  This benchmark measures
+both paths on the same images and asserts the expected shape of the result:
 
-* labels are bit-identical in every mode, and
+* labels are bit-identical in every mode (in full mode, on all 2²⁴ colours
+  at θ ∈ {π/2, 1.3, 2.7}), and
 * on the acceptance workload (512×512 uint8 grayscale) the LUT path is at
   least 10× faster than the matrix path.
 
@@ -16,8 +17,8 @@ shrinks to 96×96 and the absolute-speedup assertion is skipped — equality is
 always enforced, which is what CI guards.
 
 The JSON report (``output/bench_engine_lut_vs_matrix.json``) carries the
-palette path's throughput, ``palette_mpps``: four images sharing one
-32-colour palette, labelled through the engine, best of
+RGB path's throughput on palette images, ``palette_mpps``: four images
+sharing one 32-colour palette, labelled through the engine, best of
 ``_PALETTE_PASSES`` passes.  ``check_regression.py`` gates it.
 """
 
@@ -96,22 +97,41 @@ def test_rgb_palette_lut_vs_matrix(rng, smoke_mode, emit_result):
     matrix_time, matrix_result = _best_time(lambda: matrix_segmenter.segment(image))
     lut_time, lut_result = _best_time(lambda: engine.segment(image))
 
-    assert lut_result.extras["fast_path"] == "palette-lut"
-    assert lut_result.extras["palette_size"] == len(np.unique(image.reshape(-1, 3), axis=0))
+    assert lut_result.extras["fast_path"] == "rgb-lut"
     assert np.array_equal(lut_result.labels, matrix_result.labels)
 
     speedup = matrix_time / max(lut_time, 1e-12)
     rows = [
         ["matrix path (chunked matmul)", f"{matrix_time * 1e3:.2f}"],
-        ["palette-LUT fast path (engine)", f"{lut_time * 1e3:.2f}"],
+        ["RGB-LUT fast path (engine)", f"{lut_time * 1e3:.2f}"],
         ["speedup", f"{speedup:.1f}x"],
     ]
     emit_result(
-        f"Engine — RGB palette-LUT vs matrix path on {side}x{side} uint8 (48 colours)",
+        f"Engine — RGB-LUT vs matrix path on {side}x{side} uint8 (48 colours)",
         format_table("RGB segmentation", ["Path", "time per image [ms]"], rows),
     )
     if not smoke_mode:
-        assert speedup >= 3, f"palette path only {speedup:.1f}x faster"
+        assert speedup >= 3, f"RGB-LUT path only {speedup:.1f}x faster"
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 1.3, 2.7])
+def test_rgb_lut_equals_matrix_path_on_every_colour(theta, smoke_mode, emit_result):
+    # Full mode only (about 10 s per θ): every one of the 2**24 colours, one
+    # r-slab of 65,536 colours at a time, against the exact path.
+    if smoke_mode:
+        pytest.skip("all-colour check runs in full mode only")
+    segmenter = IQFTSegmenter(thetas=theta)
+    green, blue = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    slab = np.stack((np.zeros_like(green), green, blue), axis=-1).astype(np.uint8)
+    start = time.perf_counter()
+    for red in range(256):
+        slab[..., 0] = red
+        fast = segmenter.labels_from_lut(slab)
+        assert np.array_equal(fast, segmenter.segment(slab).labels), (theta, red)
+    emit_result(
+        f"Engine — RGB-LUT vs matrix path on all 2^24 colours (theta={theta:.4f})",
+        f"0 mismatches in {time.perf_counter() - start:.1f} s",
+    )
 
 
 def test_palette_path_throughput(smoke_mode, emit_result, emit_json_result):
@@ -126,16 +146,16 @@ def test_palette_path_throughput(smoke_mode, emit_result, emit_json_result):
     seconds, results = _best_time(
         lambda: [engine.segment(img) for img in images], repeats=_PALETTE_PASSES
     )
-    # exactness guard: a fast-but-wrong palette path fails here, not in the read
+    # exactness guard: a fast-but-wrong RGB path fails here, not in the read
     for image, result in zip(images, results):
-        assert result.extras["fast_path"] == "palette-lut"
+        assert result.extras["fast_path"] == "rgb-lut"
         assert np.array_equal(result.labels, IQFTSegmenter(thetas=np.pi).segment(image).labels)
 
     mpps = len(images) * side * side / seconds / 1e6
     emit_result(
-        f"Engine — palette path on 4x{side}x{side} uint8 (32 shared colours)",
+        f"Engine — RGB path on 4x{side}x{side} uint8 (32 shared colours)",
         format_table(
-            "Palette-path throughput",
+            "RGB-path throughput on palette images",
             ["Passes", "best pass [ms]", "Mpix/s"],
             [[_PALETTE_PASSES, f"{seconds * 1e3:.2f}", f"{mpps:.1f}"]],
         ),

@@ -3,9 +3,9 @@
 
 The script builds a small synthetic dataset (no downloads needed), runs the
 :class:`repro.engine.BatchSegmentationEngine` over it in one call, and prints
-per-image metrics together with the fast path the engine chose — the
-palette-LUT for the quantized uint8 images, the exact matrix path for a float
-image thrown in for contrast.  The batch API is what ``repro-segment batch``
+per-image metrics together with the fast path the engine chose — the RGB
+tables (``rgb-lut``) for the quantized uint8 images, the exact matrix path
+for a float image thrown in for contrast.  The batch API is what ``repro-segment batch``
 uses under the hood.
 
 Run it with::

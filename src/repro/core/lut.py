@@ -261,8 +261,9 @@ class RgbLabelTables:
         if not self.resolved:
             unresolved = labels == _UNRESOLVED
             if unresolved.any():
+                colours = (red[unresolved], green[unresolved], blue[unresolved])
                 labels[unresolved] = self._classifier.classify(
-                    _colour_phases(self._phases, red[unresolved], green[unresolved], blue[unresolved])
+                    _colour_phases(self._phases, *colours)
                 )
         return labels.astype(np.int64)
 
@@ -365,7 +366,7 @@ def _rgb_tables(
 
 
 # One build per key even when threads race to first use: a lookup holds the
-# lock (about a microsecond) and a first use holds it for the 15-45 ms build.
+# lock briefly and a first use holds it for the build (tens of milliseconds).
 _RGB_BUILD_LOCK = threading.Lock()
 
 
@@ -387,5 +388,3 @@ def rgb_label_tables(
         raise ParameterError("max_value must be positive")
     with _RGB_BUILD_LOCK:
         return _rgb_tables(key, bool(normalize), float(max_value), bool(uint8_values))
-
-

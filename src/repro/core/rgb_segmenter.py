@@ -154,14 +154,14 @@ class IQFTSegmenter(BaseSegmenter):
         by a few integer gathers into the cached
         :class:`~repro.core.lut.RgbLabelTables` of this segmenter's key
         (θ triple, ``normalize``, ``max_value`` and uint8-vs-wider storage),
-        built on first use in 15-45 ms.  Labels are bit-identical to
-        :meth:`segment`: every colour whose product-form margin is not
-        certified takes the exact classifier's own label.  Non-integer or
-        out-of-range input returns ``None`` (callers fall back to the matrix
-        path), as does ``store_probabilities`` mode: the fast path computes
-        no per-pixel probability maps, so it must not swallow that contract.
-        Diagnostics go into the caller-owned ``extras`` dict when one is
-        passed.
+        built on first use in tens of milliseconds.  Labels are
+        bit-identical to :meth:`segment`: every colour whose product-form
+        margin is not certified takes the exact classifier's own label.
+        Non-integer or out-of-range input returns ``None`` (callers fall
+        back to the matrix path), as does ``store_probabilities`` mode: the
+        fast path computes no per-pixel probability maps, so it must not
+        swallow that contract.  Diagnostics go into the caller-owned
+        ``extras`` dict when one is passed.
         """
         if self.store_probabilities:
             return None
